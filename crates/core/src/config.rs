@@ -1,7 +1,7 @@
 //! Configuration of a real-mode STAP pipeline run.
 
 use crate::io_strategy::{IoStrategy, TailStructure};
-use stap_ingest::{BackpressurePolicy, CpiRing};
+use stap_ingest::{BackpressurePolicy, CpiRing, FrontendConfig};
 use stap_kernels::cfar::CfarConfig;
 use stap_kernels::cube::CubeDims;
 use stap_kernels::doppler::DopplerConfig;
@@ -414,6 +414,22 @@ impl StapConfig {
     pub fn with_read_pacing(mut self, scale: f64) -> Self {
         self.fs = self.fs.with_read_pacing(scale);
         self
+    }
+
+    /// The radar frontend that streams exactly the cubes this run's file
+    /// staging would write, delivered at `rate` cubes/second (0 =
+    /// unpaced).
+    pub fn frontend(&self, rate: f64) -> FrontendConfig {
+        FrontendConfig {
+            dims: self.dims,
+            scene: self.scene.clone(),
+            motion: self.motion.clone(),
+            waveform_len: self.waveform_len,
+            seed: self.seed,
+            fanout: self.fanout,
+            count: self.cpis,
+            rate,
+        }
     }
 
     /// Number of Doppler bins the pipeline will produce.

@@ -15,8 +15,7 @@ use crate::stages::tail::{CfarStage, CombinedTailStage, PulseStage, ReportSink};
 use crate::stages::{FaultStats, QualityTap, Roles, StapPlan};
 use parking_lot::Mutex;
 use stap_ingest::{
-    BackpressurePolicy, CpiRing, FileSource, Frontend, FrontendConfig, FrontendReport, RingStats,
-    StreamSource,
+    BackpressurePolicy, CpiRing, FileSource, Frontend, FrontendReport, RingStats, StreamSource,
 };
 use stap_kernels::report::DetectionReport;
 use stap_model::workload::{ShapeParams, StapWorkload, TaskId};
@@ -531,19 +530,7 @@ impl StapSystem {
             Some(sr) if sr.owned => {
                 sr.ring.reopen();
                 sr.source.reset();
-                Some(Frontend::spawn(
-                    Arc::clone(&sr.ring),
-                    FrontendConfig {
-                        dims: cfg.dims,
-                        scene: cfg.scene.clone(),
-                        motion: cfg.motion.clone(),
-                        waveform_len: cfg.waveform_len,
-                        seed: cfg.seed,
-                        fanout: cfg.fanout,
-                        count: cfg.cpis,
-                        rate: sr.settings.rate,
-                    },
-                ))
+                Some(Frontend::spawn(Arc::clone(&sr.ring), cfg.frontend(sr.settings.rate)))
             }
             _ => None,
         };

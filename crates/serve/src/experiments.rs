@@ -55,7 +55,8 @@ fn summarize(r: &SimFleetReport, cpis: u64) -> Cell {
     } else {
         r.rows.iter().map(|x| x.slowdown).sum::<f64>() / r.rows.len() as f64
     };
-    Cell { fleet_throughput: delivered / makespan, mean_slowdown, utilization: r.fleet_utilization }
+    let utilization = r.store.map_or(0.0, |s| s.utilization);
+    Cell { fleet_throughput: delivered / makespan, mean_slowdown, utilization }
 }
 
 /// Renders the contention sweep: fleet throughput and mean slowdown vs

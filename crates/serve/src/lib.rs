@@ -16,12 +16,18 @@
 //! - [`scheduler`] — planner-backed admission ([`stap_planner`] searched
 //!   inside the currently-free budget), a bounded priority queue with
 //!   backpressure, and mission-conservation counters.
-//! - [`executor`] — a real bounded worker pool running missions as
-//!   [`stap_core`] pipelines under watchdogs, merging their phase spans into
-//!   one mission-tagged Chrome trace.
-//! - [`sim`] — DES capacity mode: mission arrivals over shared multi-server
-//!   FCFS stripe resources, predicting queue wait, slowdown, and SLA
-//!   hit-rate without running the pipelines.
+//! - [`fleet`] — the one fleet event loop behind `serve` and `serve --sim`:
+//!   it fires script events, submits, cancels and rejects through the
+//!   scheduler, orders script events and mission wake-ups on one
+//!   time-and-sequence queue, and builds the shared [`FleetReport`]. Two
+//!   backends run the missions it dispatches:
+//!   - [`executor`] — real [`stap_core`] pipelines on worker threads under
+//!     watchdogs, on the wall clock (production) or a virtual clock
+//!     (deterministic conformance), merging their phase spans into one
+//!     mission-tagged Chrome trace;
+//!   - [`sim`] — DES capacity mode: each CPI's reads queue on shared
+//!     multi-server FCFS stripe resources, predicting queue wait,
+//!     slowdown, and SLA hit-rate without running the pipelines.
 //! - [`experiments`] — the multi-tenant contention study backing
 //!   `results/serve_contention.txt`.
 
@@ -31,6 +37,7 @@
 pub mod arrivals;
 pub mod executor;
 pub mod experiments;
+pub mod fleet;
 pub mod mission;
 pub mod placement;
 pub mod scheduler;
@@ -38,7 +45,8 @@ pub mod script;
 pub mod sim;
 
 pub use arrivals::{generate_script, ArrivalSpec};
-pub use executor::{run_fleet, FleetOutcome};
+pub use executor::{run_fleet, run_fleet_with_clock};
+pub use fleet::{FleetReport, StoreUse};
 pub use mission::{
     fleet_table, machine_profile, AdmissionError, MissionOutcome, MissionReport, MissionSource,
     MissionSpec, PlanChoice, SlaVerdict,
@@ -46,4 +54,4 @@ pub use mission::{
 pub use placement::{NodePool, StripeLoadTracker};
 pub use scheduler::{Counters, Dispatch, FleetFault, Scheduler, ServeConfig};
 pub use script::{ScriptAction, ScriptError, ScriptEvent, WorkloadScript};
-pub use sim::{simulate_fleet, ReadModel, SimConfig, SimFleetReport, SimMissionRow};
+pub use sim::{simulate_fleet, ReadModel, SimConfig, SimFleetReport};

@@ -318,6 +318,10 @@ pub struct MissionReport {
     pub drops: u64,
     /// Read retries.
     pub retries: u64,
+    /// Contention stretch the DES predicts: runtime over the mission's
+    /// uncontended runtime (`0` for executed missions, which have no
+    /// uncontended reference).
+    pub slowdown: f64,
     /// Peak staging-ring occupancy in cubes (`0` for file-fed missions).
     pub staging_peak: u64,
     /// SLA verdict.
@@ -453,6 +457,7 @@ mod tests {
             latency: 0.55,
             drops: 1,
             retries: 2,
+            slowdown: 0.0,
             staging_peak: 3,
             sla: SlaVerdict::grade(Some(0.6), 0.55),
             outcome: MissionOutcome::Completed,

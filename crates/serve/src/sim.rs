@@ -1,14 +1,16 @@
-//! DES capacity mode: predict fleet behaviour without running pipelines.
+//! The DES backend of the fleet loop: predict fleet behaviour without
+//! running pipelines.
 //!
-//! `ppstap serve --sim` replays a workload script against the *same*
-//! [`Scheduler`] the real executor uses, but executes missions as
-//! discrete-event processes: each CPI posts its stripe-unit reads to one
-//! shared multi-server FCFS store ([`stap_des::FcfsResource`]) and then
-//! computes for the plan's residual cycle time. Co-located missions queue
-//! behind each other on the stripe directories they share, so the
-//! simulation reports contention-stretched runtimes (slowdown), queue
-//! waits, SLA hit-rate, and fleet store utilization — the capacity-planning
-//! questions — in milliseconds of wall time.
+//! `ppstap serve --sim` replays a workload script through the same
+//! [fleet loop](crate::fleet) and [`Scheduler`](crate::Scheduler) as the
+//! real executor, but runs missions as discrete-event processes: each CPI
+//! posts its stripe-unit reads to one shared multi-server FCFS store
+//! ([`stap_des::FcfsResource`]) and then computes for the plan's residual
+//! cycle time. Co-located missions queue behind each other on the stripe
+//! directories they share, so the simulation reports contention-stretched
+//! runtimes (slowdown), queue waits, SLA hit-rate, and fleet store
+//! utilization — the capacity-planning questions — in milliseconds of wall
+//! time.
 //!
 //! Two read models are available: [`ReadModel::Planned`] derives per-unit
 //! service times from the machine profile's file system (pure prediction),
@@ -16,19 +18,22 @@
 //! run (used by the serve-conformance suite to compare prediction against
 //! execution on the same footing).
 
-use crate::mission::{MissionOutcome, MissionReport, MissionSource, PlanChoice, SlaVerdict};
-use crate::scheduler::{Counters, Dispatch, FleetFault, Scheduler, ServeConfig};
-use crate::script::{ScriptAction, WorkloadScript};
-use stap_des::{Engine, FcfsResource, SimTime, StagingModel, StagingPolicy};
+use crate::fleet::{self, Backend, Cx, FleetReport, StoreUse};
+use crate::mission::{MissionReport, MissionSource, PlanChoice, SlaVerdict};
+use crate::scheduler::{Dispatch, ServeConfig};
+use crate::script::WorkloadScript;
+use stap_des::{FcfsResource, SimTime, StagingModel, StagingPolicy};
 use stap_ingest::BackpressurePolicy;
 use stap_model::workload::ShapeParams;
 use stap_pfs::{FsConfig, StripeLayout};
+use std::collections::HashMap;
 
 /// How the simulator prices a mission's per-CPI read.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum ReadModel {
     /// Derive stripe-unit service times from the plan's file-system profile
     /// (prediction from first principles).
+    #[default]
     Planned,
     /// Calibrated against an executed uncontended run: each CPI costs
     /// `runtime_per_cpi`, of which `read_fraction` is read time on the
@@ -42,7 +47,7 @@ pub enum ReadModel {
 }
 
 /// Simulation configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimConfig {
     /// Fleet configuration (pool, workers, queue bound, stripe servers).
     pub serve: ServeConfig,
@@ -50,243 +55,13 @@ pub struct SimConfig {
     pub read_model: ReadModel,
 }
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        Self { serve: ServeConfig::default(), read_model: ReadModel::Planned }
-    }
-}
-
-/// One simulated mission's predicted service record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimMissionRow {
-    /// Scheduler-assigned mission id.
-    pub id: u64,
-    /// Mission name.
-    pub name: String,
-    /// Scheduling priority.
-    pub priority: u8,
-    /// Compute nodes requested.
-    pub requested_nodes: usize,
-    /// The admitted plan.
-    pub plan: PlanChoice,
-    /// Submission time, seconds.
-    pub submit: f64,
-    /// Dispatch time, seconds.
-    pub start: f64,
-    /// Completion time, seconds.
-    pub end: f64,
-    /// Predicted queue wait, seconds.
-    pub queue_wait: f64,
-    /// Uncontended runtime the mission would take alone, seconds.
-    pub nominal_runtime: f64,
-    /// `actual_runtime / nominal_runtime` — the contention stretch.
-    pub slowdown: f64,
-    /// Predicted delivered throughput, CPIs/s.
-    pub throughput: f64,
-    /// Predicted per-CPI latency including contention stretch, seconds.
-    pub latency: f64,
-    /// Missions sharing the busiest stripe server at dispatch.
-    pub read_contention: f64,
-    /// Predicted peak staging-ring occupancy, cubes (`0` for file-fed).
-    pub staging_peak: u64,
-    /// SLA verdict on the predicted latency.
-    pub sla: SlaVerdict,
-    /// When the mission survived a simulated fleet fault, what happened
-    /// (`None` for a fault-free prediction). Mirrors the executor's
-    /// [`MissionReport::failover`].
-    pub failover: Option<String>,
-}
-
-impl SimMissionRow {
-    /// Converts the row to the shared mission-report schema (drops and
-    /// retries are always zero in simulation).
-    pub fn to_report(&self) -> MissionReport {
-        MissionReport {
-            id: self.id,
-            name: self.name.clone(),
-            priority: self.priority,
-            requested_nodes: self.requested_nodes,
-            plan: self.plan.clone(),
-            submit: self.submit,
-            start: self.start,
-            end: self.end,
-            queue_wait: self.queue_wait,
-            read_contention: self.read_contention,
-            throughput: self.throughput,
-            latency: self.latency,
-            drops: 0,
-            retries: 0,
-            staging_peak: self.staging_peak,
-            sla: self.sla,
-            outcome: MissionOutcome::Completed,
-            failover: self.failover.clone(),
-        }
-    }
-}
-
-/// The simulated fleet's report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimFleetReport {
-    /// Completed missions in completion order.
-    pub rows: Vec<SimMissionRow>,
-    /// `(name, typed reason)` for rejected submissions.
-    pub rejected: Vec<(String, String)>,
-    /// Names of missions cancelled while queued.
-    pub cancelled: Vec<String>,
-    /// Mission-conservation counters.
-    pub counters: Counters,
-    /// Last completion time, seconds.
-    pub makespan: f64,
-    /// Mean utilization of the shared stripe store over the makespan.
-    pub fleet_utilization: f64,
-    /// Stripe-unit read jobs the store served.
-    pub store_jobs: u64,
-}
-
-impl SimFleetReport {
-    /// Fraction of SLA-bounded missions predicted to meet their bound
-    /// (`None` when no mission carried an SLA).
-    pub fn sla_hit_rate(&self) -> Option<f64> {
-        let graded: Vec<bool> = self.rows.iter().filter_map(|r| r.sla.hit()).collect();
-        if graded.is_empty() {
-            return None;
-        }
-        Some(graded.iter().filter(|&&h| h).count() as f64 / graded.len() as f64)
-    }
-
-    /// The counterfactual SLA hit-rate without the failover machinery:
-    /// every bounded failed-over mission counts as a miss (it would have
-    /// aborted at the fleet fault). Mirrors
-    /// [`FleetOutcome::sla_hit_rate_no_failover`](crate::executor::FleetOutcome::sla_hit_rate_no_failover).
-    pub fn sla_hit_rate_no_failover(&self) -> Option<f64> {
-        let graded: Vec<bool> = self
-            .rows
-            .iter()
-            .filter_map(|r| r.sla.hit().map(|h| h && r.failover.is_none()))
-            .collect();
-        if graded.is_empty() {
-            return None;
-        }
-        Some(graded.iter().filter(|&&h| h).count() as f64 / graded.len() as f64)
-    }
-
-    /// Missions predicted to survive a fleet fault by failing over.
-    pub fn failovers(&self) -> usize {
-        self.rows.iter().filter(|r| r.failover.is_some()).count()
-    }
-
-    /// Mean predicted queue wait over completed missions, seconds.
-    pub fn mean_queue_wait(&self) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        self.rows.iter().map(|r| r.queue_wait).sum::<f64>() / self.rows.len() as f64
-    }
-
-    /// Human-readable capacity report.
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<4}{:<12}{:>4}{:>7}{:>9}{:>9}{:>9}{:>10}{:>9}{:>6}  {:<24}",
-            "id",
-            "mission",
-            "pri",
-            "nodes",
-            "wait(s)",
-            "run(s)",
-            "nominal",
-            "slowdown",
-            "CPI/s",
-            "sla",
-            "plan"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<4}{:<12}{:>4}{:>7}{:>9.3}{:>9.3}{:>9.3}{:>10.3}{:>9.3}{:>6}  {:<24}",
-                r.id,
-                r.name,
-                r.priority,
-                r.requested_nodes,
-                r.queue_wait,
-                r.end - r.start,
-                r.nominal_runtime,
-                r.slowdown,
-                r.throughput,
-                r.sla.label(),
-                r.plan.summary(),
-            );
-        }
-        for r in &self.rows {
-            if let Some(f) = &r.failover {
-                let _ = writeln!(out, "failover {}: {f}", r.name);
-            }
-        }
-        for (name, why) in &self.rejected {
-            let _ = writeln!(out, "rejected {name}: {why}");
-        }
-        for name in &self.cancelled {
-            let _ = writeln!(out, "cancelled {name} while queued");
-        }
-        let _ = writeln!(out, "makespan            {:.3} s", self.makespan);
-        let _ = writeln!(out, "mean queue wait     {:.3} s", self.mean_queue_wait());
-        let _ = writeln!(
-            out,
-            "fleet store util    {:.1}% over {} read jobs",
-            self.fleet_utilization * 100.0,
-            self.store_jobs
-        );
-        match self.sla_hit_rate() {
-            Some(rate) => {
-                let _ = writeln!(out, "SLA hit-rate        {:.0}%", rate * 100.0);
-            }
-            None => {
-                let _ = writeln!(out, "SLA hit-rate        n/a (no bounded missions)");
-            }
-        }
-        if self.failovers() > 0 {
-            if let Some(bare) = self.sla_hit_rate_no_failover() {
-                let _ =
-                    writeln!(out, "SLA hit-rate (no failover) {:.0}% counterfactual", bare * 100.0);
-            }
-        }
-        out
-    }
-
-    /// Machine-readable fleet report: the shared run-report schema with a
-    /// root `missions` array.
-    pub fn to_json(&self) -> String {
-        let missions: Vec<String> = self.rows.iter().map(|r| r.to_report().to_json()).collect();
-        let sla = self.sla_hit_rate().map_or("null".to_string(), |r| format!("{r:.4}"));
-        let sla_bare =
-            self.sla_hit_rate_no_failover().map_or("null".to_string(), |r| format!("{r:.4}"));
-        format!(
-            "{{\"mode\": \"sim\", \"makespan\": {:.9}, \"fleet_utilization\": {:.6}, \
-             \"mean_queue_wait\": {:.9}, \"sla_hit_rate\": {}, \
-             \"sla_hit_rate_no_failover\": {}, \"failovers\": {}, \"store_jobs\": {}, \
-             \"submitted\": {}, \"rejected\": {}, \"cancelled\": {}, \"completed\": {}, \
-             \"missions\": [{}]}}",
-            self.makespan,
-            self.fleet_utilization,
-            self.mean_queue_wait(),
-            sla,
-            sla_bare,
-            self.failovers(),
-            self.store_jobs,
-            self.counters.submitted,
-            self.counters.rejected,
-            self.counters.cancelled,
-            self.counters.completed,
-            missions.join(", ")
-        )
-    }
-}
+/// The simulated fleet's report: every mission's predicted service
+/// record (drops and retries are always zero in simulation, `slowdown` is
+/// the contention stretch) and the shared store's use.
+pub type SimFleetReport = FleetReport;
 
 /// A running simulated mission.
 struct Active {
-    d: Dispatch,
     cpis: u64,
     cpis_done: u64,
     nominal_runtime: f64,
@@ -297,78 +72,33 @@ struct Active {
     /// Virtual staging ring gating each CPI of a stream-fed mission
     /// (file-fed missions: `None`).
     staging: Option<StagingModel>,
-    /// A pending fleet fault this mission will observe (consumed when it
-    /// fires; `None` for stream missions, which bypass the store).
-    fault: Option<FleetFault>,
     /// What happened when the fault fired.
     failover: Option<String>,
 }
 
-/// Model state threaded through the DES engine.
-struct FleetState {
-    sched: Scheduler,
+/// The DES backend: every CPI posts its reads to one shared FCFS store,
+/// then computes; the mission wakes at each CPI's cycle end.
+struct Des {
+    model: ReadModel,
     store: FcfsResource,
-    active: Vec<Option<Active>>,
-    rows: Vec<SimMissionRow>,
-    rejected: Vec<(String, String)>,
-    cancelled: Vec<String>,
+    active: HashMap<u64, Active>,
 }
 
 /// Replays a workload script in virtual time and reports the predicted
 /// per-mission service and fleet capacity figures.
 pub fn simulate_fleet(script: &WorkloadScript, cfg: &SimConfig) -> SimFleetReport {
-    let stripe_servers = cfg.serve.stripe_servers.max(1);
-    let mut state = FleetState {
-        sched: Scheduler::new(cfg.serve.clone()),
-        store: FcfsResource::new("stripe-store", stripe_servers),
-        active: Vec::new(),
-        rows: Vec::new(),
-        rejected: Vec::new(),
-        cancelled: Vec::new(),
+    let des = Des {
+        model: cfg.read_model.clone(),
+        store: FcfsResource::new("stripe-store", cfg.serve.stripe_servers.max(1)),
+        active: HashMap::new(),
     };
-    let mut eng: Engine<FleetState> = Engine::new();
-    for ev in &script.events {
-        let at = SimTime::from_secs_f64(ev.at);
-        match ev.action.clone() {
-            ScriptAction::Submit(spec) => {
-                let model = cfg.read_model.clone();
-                eng.schedule_at(at, move |e, s| {
-                    let now = e.now().as_secs_f64();
-                    match s.sched.submit(spec.clone(), now) {
-                        Ok(_) => pump(e, s, &model),
-                        Err(err) => s.rejected.push((spec.name, err.to_string())),
-                    }
-                });
-            }
-            ScriptAction::Cancel { name } => {
-                eng.schedule_at(at, move |_, s| {
-                    if s.sched.cancel(&name).is_some() {
-                        s.cancelled.push(name);
-                    }
-                });
-            }
-        }
-    }
-    let end = eng.run(&mut state);
-    let makespan = state.rows.iter().map(|r| r.end).fold(end.as_secs_f64(), f64::max);
-    let fleet_utilization = state.store.utilization(SimTime::from_secs_f64(makespan));
-    SimFleetReport {
-        rows: state.rows,
-        rejected: state.rejected,
-        cancelled: state.cancelled,
-        counters: state.sched.counters(),
-        makespan,
-        fleet_utilization,
-        store_jobs: state.store.jobs(),
-    }
+    fleet::run(script, &cfg.serve, des)
 }
 
-/// Dispatches every currently-runnable mission and starts its CPI loop.
-fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState, model: &ReadModel) {
-    while let Some(d) = st.sched.next_ready(eng.now().as_secs_f64()) {
-        let id = d.id;
+impl Backend for Des {
+    fn start(&mut self, d: &Dispatch, cx: &mut Cx<'_>) {
         let cpis = d.spec.cpis.max(2);
-        let (mut reads, compute, mut nominal_per_cpi) = price_cpi(&d.plan, model);
+        let (mut reads, compute, mut nominal_per_cpi) = price_cpi(&d.plan, &self.model);
         let staging = match d.spec.source {
             MissionSource::File => None,
             MissionSource::Stream { depth, policy, rate } => {
@@ -382,30 +112,103 @@ fn pump(eng: &mut Engine<FleetState>, st: &mut FleetState, model: &ReadModel) {
                 Some(StagingModel::new(depth, period, cpis, staging_policy(policy)))
             }
         };
-        // File-fed missions observe a configured fleet fault once they
-        // reach its CPI; stream missions bypass the striped store.
-        let fault = match (st.sched.config().fault, &staging) {
-            (Some(f), None) if f.at_cpi < cpis => Some(f),
-            _ => None,
-        };
         let active = Active {
-            d,
             cpis,
             cpis_done: 0,
             nominal_runtime: nominal_per_cpi * cpis as f64,
             reads,
             compute,
             staging,
-            fault,
             failover: None,
         };
-        let idx = id as usize;
-        if st.active.len() <= idx {
-            st.active.resize_with(idx + 1, || None);
+        self.active.insert(d.id, active);
+        self.step_cpi(d, cx);
+    }
+
+    fn wake(&mut self, d: &Dispatch, cx: &mut Cx<'_>) -> Option<MissionReport> {
+        let a = self.active.get(&d.id).expect("running missions are active");
+        if a.cpis_done < a.cpis {
+            self.step_cpi(d, cx);
+            return None;
         }
-        st.active[idx] = Some(active);
-        let model = model.clone();
-        step_cpi(eng, st, id, &model);
+        let a = self.active.remove(&d.id).expect("running missions are active");
+        let end = cx.now.as_secs_f64();
+        let runtime = (end - d.start).max(1e-12);
+        // Contention stretches every CPI cycle; the achieved latency is the
+        // plan's pipeline latency plus the per-CPI stretch.
+        let stretch = (runtime - a.nominal_runtime).max(0.0) / a.cpis as f64;
+        let latency = d.plan.latency + stretch;
+        Some(MissionReport {
+            throughput: a.cpis as f64 / runtime,
+            latency,
+            slowdown: runtime / a.nominal_runtime.max(1e-12),
+            staging_peak: a.staging.as_ref().map_or(0, |s| s.counters().peak),
+            sla: SlaVerdict::grade(d.spec.max_latency, latency),
+            failover: a.failover,
+            ..fleet::mission_report(d, d.plan.clone(), end)
+        })
+    }
+
+    fn finish(self, report: &mut SimFleetReport) {
+        let utilization = self.store.utilization(SimTime::from_secs_f64(report.makespan));
+        report.store = Some(StoreUse { utilization, jobs: self.store.jobs() });
+    }
+}
+
+impl Des {
+    /// Runs the next CPI of mission `d`: queue its reads on the shared
+    /// store, then compute; wakes the mission at the cycle end.
+    fn step_cpi(&mut self, d: &Dispatch, cx: &mut Cx<'_>) {
+        let now = cx.now;
+        let servers = self.store.servers();
+        let a = self.active.get_mut(&d.id).expect("running missions are active");
+        // A configured fleet fault fires once, the moment a file-fed
+        // mission reaches its CPI (stream missions bypass the striped
+        // store): the attempt so far is discarded (the executor's first
+        // pipeline dies on the infrastructure-loss error), the store is
+        // marked degraded, and the mission restarts with its reads
+        // re-striped over the survivors — failover, not abort.
+        if let (Some(f), None, None) = (cx.sched.config().fault, &a.staging, &a.failover) {
+            if a.cpis_done >= f.at_cpi {
+                a.cpis_done = 0;
+                let sf = d.plan.stripe_factor.max(2);
+                let stretch = sf as f64 / (sf as f64 - 1.0);
+                for r in &mut a.reads {
+                    r.1 *= stretch;
+                }
+                a.failover = Some(format!(
+                    "stripe server {} lost at CPI {}; re-striped over {} surviving directories \
+                     (degraded)",
+                    f.server,
+                    f.at_cpi,
+                    sf - 1
+                ));
+                cx.sched.mark_server_lost(f.server);
+            }
+        }
+        let rotate = match self.model {
+            // Planned requests already carry their stripe directory.
+            ReadModel::Planned => 0,
+            // Measured aggregates rotate over the plan's directories so
+            // co-located missions still collide on shared servers.
+            ReadModel::Measured { .. } => (a.cpis_done as usize) % d.plan.stripe_factor.max(1),
+        };
+        let mut read_done = now;
+        for &(srv, svc) in &a.reads {
+            let (_, done) =
+                self.store.submit_to((srv + rotate) % servers, now, SimTime::from_secs_f64(svc));
+            read_done = read_done.max(done);
+        }
+        // Stream missions gate on the staging ring instead: the CPI starts
+        // when its cube has arrived (a lossy ring delivers what survives;
+        // an exhausted one stops gating).
+        if let Some(staging) = a.staging.as_mut() {
+            if let Some(ready) = staging.pop(now) {
+                read_done = read_done.max(ready);
+            }
+        }
+        a.cpis_done += 1;
+        cx.queue.wake_at(read_done + SimTime::from_secs_f64(a.compute), d.id);
     }
 }
 
@@ -459,111 +262,10 @@ fn price_cpi(plan: &PlanChoice, model: &ReadModel) -> (Vec<(usize, f64)>, f64, f
     }
 }
 
-/// Runs one CPI of mission `id`: queue its reads on the shared store, then
-/// compute; schedules the next CPI (or completion) at the cycle end.
-fn step_cpi(eng: &mut Engine<FleetState>, st: &mut FleetState, id: u64, model: &ReadModel) {
-    let now = eng.now();
-    let servers = st.store.servers();
-    let Some(a) = st.active.get_mut(id as usize).and_then(|a| a.as_mut()) else {
-        return;
-    };
-    // The fleet fault fires the moment the mission reaches its CPI: the
-    // attempt so far is discarded (the executor's first pipeline dies on
-    // the infrastructure-loss error), the store is marked degraded, and
-    // the mission restarts with its reads re-striped over the survivors —
-    // failover, not abort.
-    if let Some(f) = a.fault {
-        if a.cpis_done >= f.at_cpi {
-            a.fault = None;
-            a.cpis_done = 0;
-            let sf = a.d.plan.stripe_factor.max(2);
-            let stretch = sf as f64 / (sf as f64 - 1.0);
-            for r in &mut a.reads {
-                r.1 *= stretch;
-            }
-            a.failover = Some(format!(
-                "stripe server {} lost at CPI {}; re-striped over {} surviving directories \
-                 (degraded)",
-                f.server,
-                f.at_cpi,
-                sf - 1
-            ));
-            st.sched.mark_server_lost(f.server);
-        }
-    }
-    let rotate = match model {
-        // Planned requests already carry their stripe directory.
-        ReadModel::Planned => 0,
-        // Measured aggregates rotate over the plan's directories so
-        // co-located missions still collide on shared servers.
-        ReadModel::Measured { .. } => (a.cpis_done as usize) % a.d.plan.stripe_factor.max(1),
-    };
-    let mut read_done = now;
-    for &(srv, svc) in &a.reads {
-        let (_, done) =
-            st.store.submit_to((srv + rotate) % servers, now, SimTime::from_secs_f64(svc));
-        read_done = read_done.max(done);
-    }
-    // Stream missions gate on the staging ring instead: the CPI starts when
-    // its cube has arrived (a lossy ring delivers what survives; an
-    // exhausted one stops gating).
-    if let Some(staging) = a.staging.as_mut() {
-        if let Some(ready) = staging.pop(now) {
-            read_done = read_done.max(ready);
-        }
-    }
-    let cycle_end = read_done + SimTime::from_secs_f64(a.compute);
-    a.cpis_done += 1;
-    let finished = a.cpis_done >= a.cpis;
-    let model = model.clone();
-    eng.schedule_at(cycle_end, move |e, s| {
-        if finished {
-            finish_mission(e, s, id, &model);
-        } else {
-            step_cpi(e, s, id, &model);
-        }
-    });
-}
-
-/// Completes mission `id`: frees its resources, records its row, and pumps
-/// the queue.
-fn finish_mission(eng: &mut Engine<FleetState>, st: &mut FleetState, id: u64, model: &ReadModel) {
-    let Some(a) = st.active.get_mut(id as usize).and_then(|a| a.take()) else {
-        return;
-    };
-    let end = eng.now().as_secs_f64();
-    st.sched.complete(id, false);
-    let runtime = (end - a.d.start).max(1e-12);
-    let slowdown = runtime / a.nominal_runtime.max(1e-12);
-    // Contention stretches every CPI cycle; the achieved latency is the
-    // plan's pipeline latency plus the per-CPI stretch.
-    let stretch = (runtime - a.nominal_runtime).max(0.0) / a.cpis as f64;
-    let latency = a.d.plan.latency + stretch;
-    st.rows.push(SimMissionRow {
-        id,
-        name: a.d.spec.name.clone(),
-        priority: a.d.spec.priority,
-        requested_nodes: a.d.spec.nodes,
-        plan: a.d.plan.clone(),
-        submit: a.d.submit,
-        start: a.d.start,
-        end,
-        queue_wait: a.d.start - a.d.submit,
-        nominal_runtime: a.nominal_runtime,
-        slowdown,
-        throughput: a.cpis as f64 / runtime,
-        latency,
-        read_contention: a.d.read_contention,
-        staging_peak: a.staging.as_ref().map_or(0, |s| s.counters().peak),
-        sla: SlaVerdict::grade(a.d.spec.max_latency, latency),
-        failover: a.failover.clone(),
-    });
-    pump(eng, st, model);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::FleetFault;
 
     fn cfg(workers: usize) -> SimConfig {
         SimConfig {
@@ -647,7 +349,7 @@ mod tests {
         );
         let r = simulate_fleet(&s, &cfg(1));
         let order: Vec<&str> = {
-            let mut rows: Vec<&SimMissionRow> = r.rows.iter().collect();
+            let mut rows: Vec<&MissionReport> = r.rows.iter().collect();
             rows.sort_by(|x, y| x.start.total_cmp(&y.start));
             rows.iter().map(|x| x.name.as_str()).collect()
         };
@@ -691,8 +393,8 @@ mod tests {
         };
         let r = simulate_fleet(&s, &c);
         let row = &r.rows[0];
-        assert!((row.nominal_runtime - 5.0).abs() < 1e-9);
         assert!((row.end - row.start - 5.0).abs() < 1e-6, "uncontended = nominal");
+        assert!((row.slowdown - 1.0).abs() < 1e-6, "{}", row.slowdown);
     }
 
     #[test]
@@ -703,9 +405,8 @@ mod tests {
         );
         let r = simulate_fleet(&s, &cfg(2));
         let text = r.render_text();
-        assert!(text.contains("slowdown"));
         assert!(text.contains("SLA hit-rate"));
-        assert!(text.contains("fleet store util"));
+        assert!(text.contains("store util"));
         let v = stap_trace::json::parse(&r.to_json()).expect("valid JSON");
         assert_eq!(v.get("mode").unwrap().as_str(), Some("sim"));
         let missions = v.get("missions").unwrap().as_array().unwrap();
@@ -723,7 +424,7 @@ mod tests {
         let row = &r.rows[0];
         assert!(row.end - row.start >= 3.4, "8 cubes at 2/s pace the run: {}", row.end);
         assert!(row.staging_peak >= 1);
-        assert_eq!(r.store_jobs, 0, "stream missions bypass the striped store");
+        assert_eq!(r.store.map(|s| s.jobs), Some(0), "stream missions bypass the striped store");
         assert!(row.slowdown >= 1.0);
 
         // An unpaced frontend fills the ring instead: peak hits the depth
@@ -776,7 +477,8 @@ mod tests {
     fn store_utilization_is_positive_and_bounded() {
         let s = script("at 0 submit name=a nodes=25 cpis=4\n");
         let r = simulate_fleet(&s, &cfg(2));
-        assert!(r.fleet_utilization > 0.0 && r.fleet_utilization <= 1.0);
-        assert!(r.store_jobs > 0);
+        let store = r.store.expect("the DES models the store");
+        assert!(store.utilization > 0.0 && store.utilization <= 1.0);
+        assert!(store.jobs > 0);
     }
 }

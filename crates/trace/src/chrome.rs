@@ -138,7 +138,7 @@ pub fn chrome_trace(stage_names: &[String], spans: &[Span]) -> String {
 
 /// One mission's track group in a fleet trace: the mission identity plus
 /// the phase spans its pipeline recorded.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetTrack {
     /// Scheduler-assigned mission id (becomes the Chrome process id + 1,
     /// and is echoed in the process name so tracks are mission-tagged).

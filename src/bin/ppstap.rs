@@ -377,46 +377,17 @@ fn serve_cmd(a: ServeArgs) {
         }
     };
     let cfg = serve_config_from(&a);
-    if a.sim {
+    let out = if a.sim {
         let sim = ppstap::serve::sim::SimConfig {
             serve: cfg,
             read_model: ppstap::serve::sim::ReadModel::Planned,
         };
-        let report = ppstap::serve::simulate_fleet(&script, &sim);
-        if a.json {
-            println!("{}", report.to_json());
-        } else {
-            print!("{}", report.render_text());
-        }
-        return;
-    }
-    let out = ppstap::serve::run_fleet(&script, &cfg);
-    if a.json {
-        println!("{}", out.fleet_json());
+        ppstap::serve::simulate_fleet(&script, &sim)
     } else {
-        print!("{}", out.fleet_table());
-        for (name, why) in &out.rejected {
-            println!("rejected {name}: {why}");
-        }
-        for name in &out.cancelled {
-            println!("cancelled {name} while queued");
-        }
-        for m in &out.missions {
-            if let Some(note) = &m.failover {
-                println!("failover {}: {note}", m.name);
-            }
-        }
-        println!("makespan       : {:>9.3} s", out.makespan);
-        match out.sla_hit_rate() {
-            Some(rate) => println!("SLA hit-rate   : {:>8.0}%", rate * 100.0),
-            None => println!("SLA hit-rate   : n/a (no bounded missions)"),
-        }
-        if out.failovers() > 0 {
-            if let Some(rate) = out.sla_hit_rate_no_failover() {
-                println!("SLA hit-rate (no failover) : {:>8.0}% counterfactual", rate * 100.0);
-            }
-        }
-    }
+        ppstap::serve::run_fleet(&script, &cfg)
+    };
+    print!("{}", if a.json { out.to_json() + "\n" } else { out.render_text() });
+    // Parsing rejects `--trace` with `--sim`: only executed fleets trace.
     if let Some(path) = &a.trace {
         if let Err(e) = std::fs::write(path, out.chrome_trace()) {
             eprintln!("error: writing trace to {path}: {e}");
@@ -424,7 +395,7 @@ fn serve_cmd(a: ServeArgs) {
         }
         println!("fleet trace written to {path} (one mission-tagged track per mission)");
     }
-    if out.missions.iter().any(|m| matches!(m.outcome, ppstap::serve::MissionOutcome::Failed(_))) {
+    if out.rows.iter().any(|m| matches!(m.outcome, ppstap::serve::MissionOutcome::Failed(_))) {
         std::process::exit(1);
     }
 }
@@ -443,14 +414,14 @@ fn submit_cmd(a: SubmitArgs) {
         std::process::exit(1);
     }
     if a.json {
-        match out.missions.first() {
+        match out.rows.first() {
             Some(m) => println!("{}", m.to_json()),
-            None => println!("{}", out.fleet_json()),
+            None => println!("{}", out.to_json()),
         }
     } else {
-        print!("{}", out.fleet_table());
+        print!("{}", ppstap::serve::fleet_table(&out.rows));
     }
-    if out.missions.iter().any(|m| matches!(m.outcome, ppstap::serve::MissionOutcome::Failed(_))) {
+    if out.rows.iter().any(|m| matches!(m.outcome, ppstap::serve::MissionOutcome::Failed(_))) {
         std::process::exit(1);
     }
 }

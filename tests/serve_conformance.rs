@@ -6,8 +6,10 @@
 //! against a single uncontended executed run.
 //!
 //! Two layers:
-//! 1. A fixed 6-mission contention script executed for real and replayed
-//!    through the simulator with a `ReadModel::Measured` calibration.
+//! 1. A fixed 6-mission contention script executed for real on the
+//!    virtual clock (so its dispatch order depends only on the script)
+//!    and replayed through the simulator with a `ReadModel::Measured`
+//!    calibration.
 //!    Start order must match exactly; per-mission queue waits, makespan,
 //!    and per-mission throughput must agree within the tolerances below.
 //!    Writes `target/conformance/serve_tolerance_report.txt` (uploaded as
@@ -20,8 +22,10 @@
 
 use proptest::prelude::*;
 use stap_serve::{
-    run_fleet, simulate_fleet, FleetFault, ReadModel, ServeConfig, SimConfig, WorkloadScript,
+    run_fleet, run_fleet_with_clock, simulate_fleet, FleetFault, ReadModel, ServeConfig, SimConfig,
+    WorkloadScript,
 };
+use stap_trace::ClockSpec;
 use std::sync::Mutex;
 
 /// Serializes writers of the shared tolerance report: the tests in this
@@ -71,8 +75,8 @@ fn write_report_section(title: &str, body: &[String]) {
 const QW_TOL_RUNTIMES: f64 = 0.9;
 /// Normalized makespan |exec − sim| bound, in mean-runtime units. Six
 /// missions on two workers occupy ~3 service rounds in both modes; one
-/// full round of slack absorbs dispatch-loop granularity (~10 ms polls)
-/// and CI jitter.
+/// full round of slack absorbs what the capacity model leaves out (the
+/// executed runs' warm-up and drain, the modelled store contention).
 const MAKESPAN_TOL_RUNTIMES: f64 = 1.0;
 /// Per-mission throughput ratio sim/exec must fall in
 /// `[1/TPUT_RATIO_TOL, TPUT_RATIO_TOL]`. The simulator is calibrated from
@@ -91,10 +95,10 @@ const READ_FRACTION: f64 = 0.25;
 /// [`contention_script`]).
 const CALIBRATION_CPIS: u64 = 8;
 
-/// Submission stagger between consecutive missions, seconds. Must exceed
-/// the executor's ~10 ms dispatch-poll granularity so each submit is seen
-/// (and greedily dispatched) before the next arrives — the same
-/// one-at-a-time semantics the DES gives distinct event times.
+/// Submission stagger between consecutive missions, seconds. Distinct
+/// submission instants make each submit dispatch greedily before the next
+/// arrives in both modes (the fleet loop only batches script events that
+/// share an instant), so the idle fleet takes m0 and m1 in file order.
 const STAGGER_SECS: f64 = 0.015;
 
 /// The fixed contention script: six 25-node missions staggered
@@ -103,9 +107,9 @@ const STAGGER_SECS: f64 = 0.015;
 /// despite arriving later) decide the drain order: m0 m1 m4 m5 m2 m3.
 ///
 /// The per-mission CPI count is sized so the nominal runtime is at least
-/// 4× the whole submission window on *this* machine — otherwise a fast
-/// host lets m0 finish before m4 is submitted and the drain order
-/// legitimately differs between modes.
+/// 4× the whole submission window at the calibrated per-CPI time —
+/// otherwise m0 finishes before m4 is submitted and the drain order
+/// legitimately differs.
 fn contention_script(per_cpi_secs: f64) -> WorkloadScript {
     let window = 5.0 * STAGGER_SECS;
     let cpis = ((window * 4.0 / per_cpi_secs).ceil() as u64).clamp(8, 512);
@@ -140,9 +144,13 @@ fn fixed_fleet_sim_matches_execution_within_tolerance_and_report_written() {
     // Calibrate the read model from one uncontended executed mission.
     let solo = WorkloadScript::parse("at 0 submit name=solo nodes=25 cpis=8\n")
         .expect("solo script parses");
-    let solo_out = run_fleet(&solo, &ServeConfig { workers: 1, ..fleet_config() });
-    assert_eq!(solo_out.missions.len(), 1, "calibration run must complete");
-    let solo_m = &solo_out.missions[0];
+    let solo_out = run_fleet_with_clock(
+        &solo,
+        &ServeConfig { workers: 1, ..fleet_config() },
+        ClockSpec::virtual_default(),
+    );
+    assert_eq!(solo_out.rows.len(), 1, "calibration run must complete");
+    let solo_m = &solo_out.rows[0];
     let solo_runtime = solo_m.end - solo_m.start;
     assert!(solo_runtime > 0.0);
     let per_cpi = solo_runtime / CALIBRATION_CPIS as f64;
@@ -150,18 +158,17 @@ fn fixed_fleet_sim_matches_execution_within_tolerance_and_report_written() {
 
     // Execute the contention script for real, then replay it in the DES.
     let script = contention_script(per_cpi);
-    let exec = run_fleet(&script, &fleet_config());
+    let exec = run_fleet_with_clock(&script, &fleet_config(), ClockSpec::virtual_default());
     let sim = simulate_fleet(&script, &SimConfig { serve: fleet_config(), read_model: model });
 
-    assert_eq!(exec.missions.len(), 6, "all six executed missions complete");
+    assert_eq!(exec.rows.len(), 6, "all six executed missions complete");
     assert_eq!(sim.rows.len(), 6, "all six simulated missions complete");
     assert!(exec.rejected.is_empty() && sim.rejected.is_empty());
 
     // Scheduling conformance: identical dispatch order (priorities beat
     // arrival order for the queued tail).
-    let exec_order = start_order(
-        &mut exec.missions.iter().map(|m| (m.start, m.name.clone())).collect::<Vec<_>>(),
-    );
+    let exec_order =
+        start_order(&mut exec.rows.iter().map(|m| (m.start, m.name.clone())).collect::<Vec<_>>());
     let sim_order =
         start_order(&mut sim.rows.iter().map(|r| (r.start, r.name.clone())).collect::<Vec<_>>());
     let expected = ["m0", "m1", "m4", "m5", "m2", "m3"];
@@ -170,7 +177,7 @@ fn fixed_fleet_sim_matches_execution_within_tolerance_and_report_written() {
 
     // Timing conformance, normalized per mode (see tolerance docs above).
     let exec_mean_rt =
-        exec.missions.iter().map(|m| m.end - m.start).sum::<f64>() / exec.missions.len() as f64;
+        exec.rows.iter().map(|m| m.end - m.start).sum::<f64>() / exec.rows.len() as f64;
     let sim_mean_rt = sim.rows.iter().map(|r| r.end - r.start).sum::<f64>() / sim.rows.len() as f64;
     assert!(exec_mean_rt > 0.0 && sim_mean_rt > 0.0);
 
@@ -187,7 +194,7 @@ fn fixed_fleet_sim_matches_execution_within_tolerance_and_report_written() {
         ),
     ];
     let (mut worst_qw, mut worst_ratio) = (0.0f64, 1.0f64);
-    for m in &exec.missions {
+    for m in &exec.rows {
         let r = sim.rows.iter().find(|r| r.name == m.name).expect("mission simulated");
         let qw_diff = (m.queue_wait / exec_mean_rt - r.queue_wait / sim_mean_rt).abs();
         let ratio = r.throughput / m.throughput;
@@ -249,7 +256,7 @@ at 0.030 submit name=s2 nodes=25 cpis=4 source=stream staging=2 backpressure=blo
         &script,
         &SimConfig { serve: fleet_config(), read_model: ReadModel::Planned },
     );
-    assert_eq!(exec.missions.len(), 3, "all streamed missions execute to completion");
+    assert_eq!(exec.rows.len(), 3, "all streamed missions execute to completion");
     assert_eq!(sim.rows.len(), 3, "all streamed missions simulate to completion");
 
     let mut lines = vec![
@@ -259,7 +266,7 @@ at 0.030 submit name=s2 nodes=25 cpis=4 source=stream staging=2 backpressure=blo
     ];
     let depths = [("s0", 4u64), ("s1", 3), ("s2", 2)];
     for (name, depth) in depths {
-        let m = exec.missions.iter().find(|m| m.name == name).expect("executed mission");
+        let m = exec.rows.iter().find(|m| m.name == name).expect("executed mission");
         let r = sim.rows.iter().find(|r| r.name == name).expect("simulated mission");
         lines.push(format!("{:<8} {:>9} {:>8} {:>8}", name, depth, m.staging_peak, r.staging_peak));
         assert!(m.staging_peak >= 1 && m.staging_peak <= depth, "{name}: executed peak in ring");
@@ -310,12 +317,12 @@ at 0.030 submit name=f2 nodes=25 cpis=2 max-latency=120\n";
     let exec = run_fleet(&script, &cfg);
     let sim = simulate_fleet(&script, &SimConfig { serve: cfg, read_model: ReadModel::Planned });
 
-    assert_eq!(exec.missions.len(), 3, "all executed missions survive the loss");
+    assert_eq!(exec.rows.len(), 3, "all executed missions survive the loss");
     assert_eq!(sim.rows.len(), 3, "all simulated missions survive the loss");
 
     // Failover conformance: the same missions fail over in both modes.
     let mut exec_fo: Vec<&str> =
-        exec.missions.iter().filter(|m| m.failover.is_some()).map(|m| m.name.as_str()).collect();
+        exec.rows.iter().filter(|m| m.failover.is_some()).map(|m| m.name.as_str()).collect();
     let mut sim_fo: Vec<&str> =
         sim.rows.iter().filter(|r| r.failover.is_some()).map(|r| r.name.as_str()).collect();
     exec_fo.sort_unstable();
@@ -330,7 +337,7 @@ at 0.030 submit name=f2 nodes=25 cpis=2 max-latency=120\n";
     let exec_cf = exec.sla_hit_rate_no_failover().expect("counterfactual graded");
     let sim_cf = sim.sla_hit_rate_no_failover().expect("counterfactual graded");
     let lines = vec![
-        format!("fault: server-loss:0@3 over {} missions", exec.missions.len()),
+        format!("fault: server-loss:0@3 over {} missions", exec.rows.len()),
         format!("failover set (both modes): {}", exec_fo.join(" ")),
         format!(
             "SLA hit-rate: exec={:.0}% sim={:.0}% (tol {FAULT_SLA_RATE_TOL})",
