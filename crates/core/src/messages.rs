@@ -126,6 +126,13 @@ impl BinSlab {
         }
     }
 
+    /// The contiguous range row `[r0, r1)` at (bin index, stagger, channel).
+    pub fn row(&self, bin_idx: usize, s: usize, c: usize) -> &[C32] {
+        let n = self.r1 - self.r0;
+        let start = ((bin_idx * self.staggers + s) * self.channels + c) * n;
+        &self.data[start..start + n]
+    }
+
     /// Sample lookup.
     pub fn get(&self, bin_idx: usize, s: usize, c: usize, abs_r: usize) -> C32 {
         let n = self.r1 - self.r0;
@@ -224,9 +231,8 @@ pub fn assemble_bins(
                 slab.bins.iter().position(|&x| x == b).ok_or(AssemblyError::MissingBin(b))?;
             for s in 0..staggers {
                 for c in 0..channels {
-                    for abs_r in slab.r0..slab.r1 {
-                        *cube.get_mut(s, i, c, abs_r) = slab.get(bin_idx, s, c, abs_r);
-                    }
+                    cube.row_mut(s, i, c)[slab.r0..slab.r1]
+                        .copy_from_slice(slab.row(bin_idx, s, c));
                 }
             }
         }

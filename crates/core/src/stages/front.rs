@@ -221,19 +221,20 @@ impl DopplerStage {
     /// Both filter outputs for the slab: straight fork-join over range
     /// blocks under `--schedule steal`, whole-slab kernels otherwise.
     ///
-    /// The stolen chunks run the blocked kernel and stitch back in range
-    /// order, so the result is bit-identical to the static path (every
-    /// range lane is an independent reduction).
+    /// The stolen chunks run the blocked kernel at the plan's SIMD tier and
+    /// stitch back in range order, so the result is bit-identical to the
+    /// static path (every range lane is an independent reduction).
     fn filter_slab(&self, ctx: &mut StageCtx<'_>, slab: &DataCube) -> (DopplerCube, DopplerCube) {
         if let Some(pool) = &self.steal {
             ctx.phase(Phase::Steal);
             let ranges = slab.dims().ranges;
             let parts = partition_even(ranges, (pool.workers() * 4).clamp(1, ranges.max(1)));
             let filter = &self.filter;
+            let path = self.plan.kernel_path();
             let chunks = pool.run(parts.clone(), |(c0, c1)| {
                 (
-                    filter.filter_easy_chunk(slab, c0, c1),
-                    filter.filter_staggered_chunk(slab, c0, c1),
+                    filter.filter_easy_chunk(slab, c0, c1, path),
+                    filter.filter_staggered_chunk(slab, c0, c1, path),
                 )
             });
             ctx.phase(Phase::Compute);

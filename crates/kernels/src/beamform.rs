@@ -125,17 +125,7 @@ impl Beamformer {
         let mut out = BeamCube::zeros(weights.bins.clone(), beams, cube.ranges());
         match path.resolve() {
             KernelPath::Reference => Self::apply_ref(cube, weights, &mut out),
-            KernelPath::Blocked | KernelPath::Auto => {
-                self.apply_into_level(cube, weights, &mut out, 0, cube.ranges(), SimdLevel::None)
-            }
-            KernelPath::Simd => self.apply_into_level(
-                cube,
-                weights,
-                &mut out,
-                0,
-                cube.ranges(),
-                SimdLevel::detect(),
-            ),
+            _ => self.apply_into(cube, weights, &mut out, 0, cube.ranges(), path),
         }
         out
     }
@@ -155,11 +145,7 @@ impl Beamformer {
         r1: usize,
         path: KernelPath,
     ) {
-        let level = match path.resolve() {
-            KernelPath::Simd => SimdLevel::detect(),
-            _ => SimdLevel::None,
-        };
-        self.apply_into_level(cube, weights, out, r0, r1, level);
+        self.apply_into_level(cube, weights, out, r0, r1, path.simd_level());
     }
 
     fn apply_into_level(

@@ -11,6 +11,7 @@
 use crate::cube::{DataCube, DopplerCube};
 use crate::path::KernelPath;
 use stap_math::fft::next_pow2;
+use stap_math::simd::{scale_row_into, SimdLevel};
 use stap_math::window::Window;
 use stap_math::{FftPlan, C32};
 
@@ -162,7 +163,7 @@ impl DopplerFilter {
         let mut out = DopplerCube::zeros(1, self.fft_len, d.channels, d.ranges);
         match path.resolve() {
             KernelPath::Reference => self.filter_easy_ref(cube, &mut out),
-            _ => self.filter_easy_into(cube, &mut out, 0, d.ranges),
+            _ => self.filter_easy_into(cube, &mut out, 0, d.ranges, path),
         }
         out
     }
@@ -171,29 +172,44 @@ impl DopplerFilter {
     /// the chunk-level entry the work-stealing executor schedules. `out`
     /// must cover the full cube geometry; gates outside `[r0, r1)` are left
     /// untouched. Bit-identical to the scalar reference: the panel FFT runs
-    /// every range-gate lane through the exact scalar butterfly sequence.
+    /// every range-gate lane through the exact scalar butterfly sequence,
+    /// at the lane-kernel tier [`KernelPath::simd_level`] picks (the
+    /// reference path runs the portable blocked loops here).
     ///
     /// # Panics
     /// Panics when the cube/output geometry disagrees with the plan or the
     /// gate interval is out of bounds.
-    pub fn filter_easy_into(&self, cube: &DataCube, out: &mut DopplerCube, r0: usize, r1: usize) {
+    pub fn filter_easy_into(
+        &self,
+        cube: &DataCube,
+        out: &mut DopplerCube,
+        r0: usize,
+        r1: usize,
+        path: KernelPath,
+    ) {
         assert_eq!(out.ranges(), cube.dims().ranges, "output range extent differs from cube");
-        self.filter_easy_span(cube, out, r0, r1, 0);
+        self.filter_easy_span(cube, out, r0, r1, 0, path.simd_level());
     }
 
     /// Easy-path filtering of gates `[r0, r1)` into a *compact* cube of
     /// `r1 - r0` gates — the owned-output form the work-stealing executor's
     /// items return (stitch with [`DopplerCube::copy_range_from`]).
-    pub fn filter_easy_chunk(&self, cube: &DataCube, r0: usize, r1: usize) -> DopplerCube {
+    pub fn filter_easy_chunk(
+        &self,
+        cube: &DataCube,
+        r0: usize,
+        r1: usize,
+        path: KernelPath,
+    ) -> DopplerCube {
         let d = cube.dims();
         let mut out = DopplerCube::zeros(1, self.fft_len, d.channels, r1 - r0);
-        self.filter_easy_span(cube, &mut out, r0, r1, r0);
+        self.filter_easy_span(cube, &mut out, r0, r1, r0, path.simd_level());
         out
     }
 
     /// Shared blocked easy path: gates `[r0, r1)` of `cube`, written to
     /// `out` at range offset `b0 - out_base` (0 for full-size outputs,
-    /// `r0` for compact chunks).
+    /// `r0` for compact chunks), at lane-kernel tier `level`.
     fn filter_easy_span(
         &self,
         cube: &DataCube,
@@ -201,6 +217,7 @@ impl DopplerFilter {
         r0: usize,
         r1: usize,
         out_base: usize,
+        level: SimdLevel,
     ) {
         let d = cube.dims();
         assert_eq!(d.pulses, self.pulses, "cube pulse count differs from plan");
@@ -223,15 +240,10 @@ impl DopplerFilter {
                     let base = (p * d.channels + c) * d.ranges + b0;
                     let src = &src_all[base..base + lanes];
                     let dst = &mut panel[p * lanes..(p + 1) * lanes];
-                    let w = self.window_full[p];
-                    for (dv, sv) in dst.iter_mut().zip(src.iter()) {
-                        *dv = sv.scale(w);
-                    }
+                    scale_row_into(dst, src, self.window_full[p], level);
                 }
-                for v in panel.iter_mut().skip(self.pulses * lanes) {
-                    *v = C32::zero();
-                }
-                self.plan.forward_multi(panel, lanes);
+                panel[self.pulses * lanes..].fill(C32::zero());
+                self.plan.forward_multi_level(panel, lanes, level);
                 // Scatter: output rows at fixed (bin, c) are contiguous too.
                 for b in 0..self.fft_len {
                     out.row_mut(0, b, c)[o0..o0 + lanes]
@@ -277,7 +289,7 @@ impl DopplerFilter {
         let mut out = DopplerCube::zeros(2, self.fft_len, d.channels, d.ranges);
         match path.resolve() {
             KernelPath::Reference => self.filter_staggered_ref(cube, &mut out),
-            _ => self.filter_staggered_into(cube, &mut out, 0, d.ranges),
+            _ => self.filter_staggered_into(cube, &mut out, 0, d.ranges, path),
         }
         out
     }
@@ -294,18 +306,25 @@ impl DopplerFilter {
         out: &mut DopplerCube,
         r0: usize,
         r1: usize,
+        path: KernelPath,
     ) {
         assert_eq!(out.ranges(), cube.dims().ranges, "output range extent differs from cube");
-        self.filter_staggered_span(cube, out, r0, r1, 0);
+        self.filter_staggered_span(cube, out, r0, r1, 0, path.simd_level());
     }
 
     /// Staggered filtering of gates `[r0, r1)` into a *compact* cube of
     /// `r1 - r0` gates — the owned-output form the work-stealing executor's
     /// items return (stitch with [`DopplerCube::copy_range_from`]).
-    pub fn filter_staggered_chunk(&self, cube: &DataCube, r0: usize, r1: usize) -> DopplerCube {
+    pub fn filter_staggered_chunk(
+        &self,
+        cube: &DataCube,
+        r0: usize,
+        r1: usize,
+        path: KernelPath,
+    ) -> DopplerCube {
         let d = cube.dims();
         let mut out = DopplerCube::zeros(2, self.fft_len, d.channels, r1 - r0);
-        self.filter_staggered_span(cube, &mut out, r0, r1, r0);
+        self.filter_staggered_span(cube, &mut out, r0, r1, r0, path.simd_level());
         out
     }
 
@@ -317,6 +336,7 @@ impl DopplerFilter {
         r0: usize,
         r1: usize,
         out_base: usize,
+        level: SimdLevel,
     ) {
         let d = cube.dims();
         assert_eq!(d.pulses, self.pulses, "cube pulse count differs from plan");
@@ -340,15 +360,10 @@ impl DopplerFilter {
                         let base = ((start + k) * d.channels + c) * d.ranges + b0;
                         let src = &src_all[base..base + lanes];
                         let dst = &mut panel[k * lanes..(k + 1) * lanes];
-                        let w = self.window_seg[k];
-                        for (dv, sv) in dst.iter_mut().zip(src.iter()) {
-                            *dv = sv.scale(w);
-                        }
+                        scale_row_into(dst, src, self.window_seg[k], level);
                     }
-                    for v in panel.iter_mut().skip(seg * lanes) {
-                        *v = C32::zero();
-                    }
-                    self.plan.forward_multi(panel, lanes);
+                    panel[seg * lanes..].fill(C32::zero());
+                    self.plan.forward_multi_level(panel, lanes, level);
                     for b in 0..self.fft_len {
                         out.row_mut(stagger, b, c)[o0..o0 + lanes]
                             .copy_from_slice(&panel[b * lanes..(b + 1) * lanes]);
@@ -499,24 +514,26 @@ mod tests {
     }
 
     #[test]
-    fn blocked_easy_filter_is_bit_identical_to_reference() {
+    fn blocked_and_simd_easy_filter_are_bit_identical_to_reference() {
         // 45 ranges: not a multiple of the 32-lane block, exercising the tail.
         let dims = CubeDims::new(12, 3, 45);
         let cube = noise_cube(dims, 0x5EED);
         let df = DopplerFilter::new(12, DopplerConfig::default());
         let reference = df.filter_easy_with(&cube, KernelPath::Reference);
-        let blocked = df.filter_easy_with(&cube, KernelPath::Blocked);
-        assert_cubes_bit_equal(&reference, &blocked);
+        for path in [KernelPath::Blocked, KernelPath::Simd] {
+            assert_cubes_bit_equal(&reference, &df.filter_easy_with(&cube, path));
+        }
     }
 
     #[test]
-    fn blocked_staggered_filter_is_bit_identical_to_reference() {
+    fn blocked_and_simd_staggered_filter_are_bit_identical_to_reference() {
         let dims = CubeDims::new(16, 2, 37);
         let cube = noise_cube(dims, 0xBEEF);
         let df = DopplerFilter::new(16, DopplerConfig::default());
         let reference = df.filter_staggered_with(&cube, KernelPath::Reference);
-        let blocked = df.filter_staggered_with(&cube, KernelPath::Blocked);
-        assert_cubes_bit_equal(&reference, &blocked);
+        for path in [KernelPath::Blocked, KernelPath::Simd] {
+            assert_cubes_bit_equal(&reference, &df.filter_staggered_with(&cube, path));
+        }
     }
 
     #[test]
@@ -527,13 +544,13 @@ mod tests {
         let full = df.filter_easy_with(&cube, KernelPath::Blocked);
         let mut stitched = DopplerCube::zeros(1, df.bins(), 2, 21);
         for (r0, r1) in [(0usize, 7usize), (7, 16), (16, 21)] {
-            df.filter_easy_into(&cube, &mut stitched, r0, r1);
+            df.filter_easy_into(&cube, &mut stitched, r0, r1, KernelPath::Blocked);
         }
         assert_cubes_bit_equal(&full, &stitched);
         let full_s = df.filter_staggered_with(&cube, KernelPath::Blocked);
         let mut stitched_s = DopplerCube::zeros(2, df.bins(), 2, 21);
         for (r0, r1) in [(0usize, 5usize), (5, 21)] {
-            df.filter_staggered_into(&cube, &mut stitched_s, r0, r1);
+            df.filter_staggered_into(&cube, &mut stitched_s, r0, r1, KernelPath::Simd);
         }
         assert_cubes_bit_equal(&full_s, &stitched_s);
     }
@@ -546,14 +563,14 @@ mod tests {
         let full = df.filter_easy_with(&cube, KernelPath::Blocked);
         let mut stitched = DopplerCube::zeros(1, df.bins(), 2, 50);
         for (r0, r1) in [(0usize, 33usize), (33, 41), (41, 50)] {
-            let chunk = df.filter_easy_chunk(&cube, r0, r1);
+            let chunk = df.filter_easy_chunk(&cube, r0, r1, KernelPath::Simd);
             stitched.copy_range_from(&chunk, r0);
         }
         assert_cubes_bit_equal(&full, &stitched);
         let full_s = df.filter_staggered_with(&cube, KernelPath::Blocked);
         let mut stitched_s = DopplerCube::zeros(2, df.bins(), 2, 50);
         for (r0, r1) in [(0usize, 17usize), (17, 50)] {
-            let chunk = df.filter_staggered_chunk(&cube, r0, r1);
+            let chunk = df.filter_staggered_chunk(&cube, r0, r1, KernelPath::Blocked);
             stitched_s.copy_range_from(&chunk, r0);
         }
         assert_cubes_bit_equal(&full_s, &stitched_s);

@@ -1,5 +1,6 @@
 //! Kernel implementation selection: scalar reference, cache-blocked, or
-//! `std::arch` SIMD — with runtime feature detection.
+//! `std::arch` SIMD. Runtime feature detection ([`SimdLevel`]) lives in
+//! `stap-math` next to the lane kernels it gates and is re-exported here.
 //!
 //! Every optimized path is constructed to be **bit-identical** to the scalar
 //! reference: blocking and SIMD vectorize across *independent outputs*
@@ -7,8 +8,8 @@
 //! exact floating-point operation sequence of the reference loop. The
 //! differential suite in `tests/kernel_props.rs` pins this down to 0 ULP.
 
+pub use stap_math::simd::SimdLevel;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Which implementation of a kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,6 +43,16 @@ impl KernelPath {
         }
     }
 
+    /// The lane-kernel tier this path runs its blocked loops at:
+    /// [`SimdLevel::detect`] for [`KernelPath::Simd`] (and `Auto` on a
+    /// SIMD-capable CPU), the portable loops otherwise.
+    pub fn simd_level(self) -> SimdLevel {
+        match self.resolve() {
+            KernelPath::Simd => SimdLevel::detect(),
+            _ => SimdLevel::None,
+        }
+    }
+
     /// Parses a CLI/config spelling.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
@@ -63,50 +74,6 @@ impl fmt::Display for KernelPath {
             KernelPath::Auto => "auto",
         };
         f.write_str(s)
-    }
-}
-
-/// Widest usable x86 SIMD tier for the complex inner loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdLevel {
-    /// 8 f32 lanes (4 complex) per vector.
-    Avx,
-    /// 4 f32 lanes (2 complex) per vector; needs SSE3 for `addsub`.
-    Sse3,
-    /// No usable SIMD — scalar lane loops only.
-    None,
-}
-
-impl SimdLevel {
-    /// Runtime CPU feature detection, cached after the first call.
-    pub fn detect() -> SimdLevel {
-        static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-        *LEVEL.get_or_init(Self::probe)
-    }
-
-    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-    fn probe() -> SimdLevel {
-        if is_x86_feature_detected!("avx") {
-            SimdLevel::Avx
-        } else if is_x86_feature_detected!("sse3") {
-            SimdLevel::Sse3
-        } else {
-            SimdLevel::None
-        }
-    }
-
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
-    fn probe() -> SimdLevel {
-        SimdLevel::None
-    }
-
-    /// Human-readable label for reports and the README feature table.
-    pub fn label(self) -> &'static str {
-        match self {
-            SimdLevel::Avx => "avx",
-            SimdLevel::Sse3 => "sse3",
-            SimdLevel::None => "scalar",
-        }
     }
 }
 
@@ -132,8 +99,9 @@ mod tests {
     }
 
     #[test]
-    fn detection_is_stable() {
-        assert_eq!(SimdLevel::detect(), SimdLevel::detect());
-        assert!(!SimdLevel::detect().label().is_empty());
+    fn simd_level_follows_the_resolved_path() {
+        assert_eq!(KernelPath::Reference.simd_level(), SimdLevel::None);
+        assert_eq!(KernelPath::Blocked.simd_level(), SimdLevel::None);
+        assert_eq!(KernelPath::Simd.simd_level(), SimdLevel::detect());
     }
 }

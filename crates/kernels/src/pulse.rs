@@ -8,6 +8,7 @@
 use crate::beamform::BeamCube;
 use crate::path::KernelPath;
 use stap_math::fft::next_pow2;
+use stap_math::simd::mul_row;
 use stap_math::{FftPlan, C32};
 
 /// Rows compressed per batched panel FFT. 8 lanes keep a 1024-point panel
@@ -101,9 +102,11 @@ impl PulseCompressor {
     /// Compresses `data` interpreted as consecutive rows of `row_len` gates
     /// — the chunk-level entry the work-stealing executor schedules.
     ///
-    /// The blocked path batches [`ROW_BLOCK`] rows per multi-lane panel FFT;
-    /// every lane runs the exact scalar butterfly/multiply sequence, so the
-    /// output is bit-identical to [`PulseCompressor::compress_row`] per row.
+    /// The blocked path batches [`ROW_BLOCK`] rows per multi-lane panel FFT,
+    /// with butterflies and the spectrum multiply at the lane-kernel tier
+    /// [`KernelPath::simd_level`] picks; every lane runs the exact scalar
+    /// butterfly/multiply sequence, so the output is bit-identical to
+    /// [`PulseCompressor::compress_row`] per row.
     ///
     /// # Panics
     /// Panics when `data.len()` is not a multiple of `row_len`, or the rows
@@ -123,6 +126,7 @@ impl PulseCompressor {
                 }
             }
             _ => {
+                let level = path.simd_level();
                 let mut panel = vec![C32::zero(); self.fft_len * ROW_BLOCK];
                 let mut rows = data.chunks_mut(row_len).collect::<Vec<_>>();
                 for batch in rows.chunks_mut(ROW_BLOCK) {
@@ -135,13 +139,11 @@ impl PulseCompressor {
                             panel[k * lanes + l] = v;
                         }
                     }
-                    self.plan.forward_multi(panel, lanes);
-                    for (k, &h) in self.replica_spectrum.iter().enumerate() {
-                        for z in &mut panel[k * lanes..(k + 1) * lanes] {
-                            *z *= h;
-                        }
+                    self.plan.forward_multi_level(panel, lanes, level);
+                    for (row, &h) in panel.chunks_exact_mut(lanes).zip(&self.replica_spectrum) {
+                        mul_row(row, h, level);
                     }
-                    self.plan.inverse_multi(panel, lanes);
+                    self.plan.inverse_multi_level(panel, lanes, level);
                     for (l, row) in batch.iter_mut().enumerate() {
                         for (k, v) in row.iter_mut().enumerate() {
                             *v = panel[k * lanes + l];
@@ -266,10 +268,13 @@ mod tests {
         let pc = PulseCompressor::new(ranges, &wf);
         let mut reference = data.clone();
         pc.compress_rows(&mut reference, ranges, KernelPath::Reference);
-        pc.compress_rows(&mut data, ranges, KernelPath::Blocked);
-        for (i, (x, y)) in reference.iter().zip(data.iter()).enumerate() {
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "re differs at {i}");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "im differs at {i}");
+        for path in [KernelPath::Blocked, KernelPath::Simd] {
+            let mut fast = data.clone();
+            pc.compress_rows(&mut fast, ranges, path);
+            for (i, (x, y)) in reference.iter().zip(fast.iter()).enumerate() {
+                assert_eq!(x.re.to_bits(), y.re.to_bits(), "{path}: re differs at {i}");
+                assert_eq!(x.im.to_bits(), y.im.to_bits(), "{path}: im differs at {i}");
+            }
         }
     }
 

@@ -3,9 +3,14 @@
 //! The Doppler filter and pulse-compression kernels apply the same transform
 //! length millions of times per CPI, so twiddle factors and the bit-reversal
 //! permutation are computed once in an [`FftPlan`] and reused.
+//!
+//! The multi-lane transforms run many independent sequences at once; for
+//! `f32` their butterflies also come in explicit SSE3/AVX form
+//! ([`FftPlan::forward_multi_level`]), bit-identical to the scalar path.
 
-use crate::complex::Complex;
+use crate::complex::{Complex, C32};
 use crate::scalar::Scalar;
+use crate::simd::{self, SimdLevel};
 
 /// Precomputed FFT plan for a fixed power-of-two length.
 #[derive(Debug, Clone)]
@@ -74,10 +79,7 @@ impl<T: Scalar> FftPlan<T> {
         assert_eq!(buf.len(), self.n, "buffer length must match plan");
         self.permute(buf);
         self.butterflies(buf, true);
-        let scale = T::ONE / T::from_usize(self.n);
-        for v in buf.iter_mut() {
-            *v = v.scale(scale);
-        }
+        self.normalize(buf);
     }
 
     fn permute(&self, buf: &mut [Complex<T>]) {
@@ -143,8 +145,13 @@ impl<T: Scalar> FftPlan<T> {
         self.check_panel(panel, lanes);
         self.permute_multi(panel, lanes);
         self.butterflies_multi(panel, lanes, true);
+        self.normalize(panel);
+    }
+
+    /// The inverse transforms' `1/n` scaling.
+    fn normalize(&self, buf: &mut [Complex<T>]) {
         let scale = T::ONE / T::from_usize(self.n);
-        for v in panel.iter_mut() {
+        for v in buf.iter_mut() {
             *v = v.scale(scale);
         }
     }
@@ -176,21 +183,76 @@ impl<T: Scalar> FftPlan<T> {
                     if inverse {
                         w = w.conj();
                     }
-                    let ia = (start + k) * lanes;
-                    let ib = (start + k + half) * lanes;
-                    let (head, tail) = panel.split_at_mut(ib);
-                    let row_a = &mut head[ia..ia + lanes];
-                    let row_b = &mut tail[..lanes];
-                    for l in 0..lanes {
-                        let a = row_a[l];
-                        let b = row_b[l] * w;
-                        row_a[l] = a + b;
-                        row_b[l] = a - b;
-                    }
+                    let a = (start + k) * lanes;
+                    butterfly_lanes(panel, a, a + half * lanes, lanes, w);
                 }
             }
             len <<= 1;
         }
+    }
+}
+
+impl FftPlan<f32> {
+    /// [`FftPlan::forward_multi`] with the butterflies run at an explicit
+    /// [`SimdLevel`] (lowered to what the CPU supports). Every level is
+    /// 0-ULP identical to [`FftPlan::forward`] per lane; see
+    /// [`crate::simd`].
+    pub fn forward_multi_level(&self, panel: &mut [C32], lanes: usize, level: SimdLevel) {
+        self.check_panel(panel, lanes);
+        self.permute_multi(panel, lanes);
+        self.butterflies_multi_level(panel, lanes, false, level);
+    }
+
+    /// [`FftPlan::inverse_multi`] with the butterflies run at an explicit
+    /// [`SimdLevel`]; see [`FftPlan::forward_multi_level`].
+    pub fn inverse_multi_level(&self, panel: &mut [C32], lanes: usize, level: SimdLevel) {
+        self.check_panel(panel, lanes);
+        self.permute_multi(panel, lanes);
+        self.butterflies_multi_level(panel, lanes, true, level);
+        self.normalize(panel);
+    }
+
+    fn butterflies_multi_level(
+        &self,
+        panel: &mut [C32],
+        lanes: usize,
+        inverse: bool,
+        level: SimdLevel,
+    ) {
+        // SAFETY: `capped` never returns a level above the detected CPU
+        // level, `check_panel` asserted `lanes > 0` and
+        // `panel.len() == n·lanes`, and the plan holds `n / 2` twiddles.
+        match level.capped() {
+            #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+            SimdLevel::Avx => unsafe {
+                simd::x86::butterflies_avx(panel, lanes, &self.twiddles, inverse)
+            },
+            #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+            SimdLevel::Sse3 => unsafe {
+                simd::x86::butterflies_sse3(panel, lanes, &self.twiddles, inverse)
+            },
+            _ => self.butterflies_multi(panel, lanes, inverse),
+        }
+    }
+}
+
+/// The radix-2 butterfly over lanes `[0, len)` of the panel rows starting
+/// at `a` and `b > a`: `v = row_b·w`, then `row_a ← row_a + v` and
+/// `row_b ← row_a − v`, lane by lane in the scalar operation order.
+#[inline]
+pub(crate) fn butterfly_lanes<T: Scalar>(
+    panel: &mut [Complex<T>],
+    a: usize,
+    b: usize,
+    len: usize,
+    w: Complex<T>,
+) {
+    let (head, tail) = panel.split_at_mut(b);
+    for (x, y) in head[a..a + len].iter_mut().zip(&mut tail[..len]) {
+        let u = *x;
+        let v = *y * w;
+        *x = u + v;
+        *y = u - v;
     }
 }
 

@@ -11,6 +11,8 @@
 //! Contents:
 //! - [`complex`]: a `Complex<T>` type with full arithmetic;
 //! - [`fft`]: radix-2 decimation-in-time FFT with precomputed plans;
+//! - [`simd`]: runtime SSE3/AVX detection and the bit-exact f32 complex
+//!   lane kernels shared by the multi-lane FFT and the STAP kernels;
 //! - [`window`]: taper windows (Hann, Hamming, Blackman, Kaiser, ...);
 //! - [`matrix`]: dense row-major complex matrices;
 //! - [`cholesky`]: Hermitian positive-definite factorization and solves;
@@ -45,6 +47,7 @@ pub mod fft;
 pub mod matrix;
 pub mod qr;
 pub mod scalar;
+pub mod simd;
 pub mod solve;
 pub mod stats;
 pub mod window;
@@ -56,6 +59,7 @@ pub use fft::FftPlan;
 pub use matrix::CMat;
 pub use qr::QrFactor;
 pub use scalar::Scalar;
+pub use simd::SimdLevel;
 
 /// Errors produced by the linear-algebra routines in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,16 +1,26 @@
 //! Launching a pipeline: one thread per node, CPIs driven in order,
 //! timing collected into a [`PipelineReport`].
+//!
+//! A credit window bounds the CPIs in flight: a node of a source stage may
+//! start CPI `k` only after every node of every sink stage has finished CPI
+//! `k − W`, with `W` the topology's stage count
+//! ([`Topology::credit_window`], Pipeflow's fixed number of
+//! "lines"). Without it an unpaced front turns its speed into a backlog
+//! held in the unbounded comm channels. The wait happens before the CPI's
+//! record opens, so it never shows up in `T_i` or latency; it is reported
+//! per source node in [`PipelineReport::credit_wait_secs`].
 
 use crate::error::PipelineError;
 use crate::stage::{Stage, StageCtx};
 use crate::timing::{PipelineReport, StageTracer};
-use crate::topology::Topology;
+use crate::topology::{StageId, Topology};
 use crate::watchdog::{monitor, Expiry, Heartbeats, WatchdogSpec};
 use parking_lot::Mutex;
 use stap_comm::CommWorld;
 use stap_trace::ClockSpec;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
+use std::sync::{Condvar, Mutex as StdMutex};
+use std::time::{Duration, Instant};
 
 /// Builds the per-node [`Stage`] value for a stage; called once per node
 /// with the node's local index.
@@ -18,6 +28,52 @@ pub type StageFactory = Box<dyn Fn(usize) -> Box<dyn Stage> + Send + Sync>;
 
 /// Collective tag of the end-of-run drain barrier.
 const DRAIN_BARRIER_TAG: u32 = 0x7FFF_FFFF;
+
+/// How often a node waiting for credit heartbeats and re-checks the world
+/// abort flag.
+const CREDIT_POLL: Duration = Duration::from_millis(5);
+
+/// The credit gate: CPIs finished by each sink node, plus a condvar that
+/// wakes waiting source nodes when the slowest sink node moves on.
+struct CreditWindow {
+    window: u64,
+    finished: StdMutex<Vec<u64>>,
+    freed: Condvar,
+}
+
+impl CreditWindow {
+    fn new(window: u64, sink_nodes: usize) -> Self {
+        Self { window, finished: StdMutex::new(vec![0; sink_nodes]), freed: Condvar::new() }
+    }
+
+    /// Blocks until CPI `cpi` holds a credit, i.e. every sink node has
+    /// finished CPI `cpi − window`, and returns the wall seconds spent
+    /// blocked. `keep_waiting` runs every [`CREDIT_POLL`] while blocked
+    /// (heartbeat plus abort check); the wait gives up, returning `None`,
+    /// as soon as it says stop.
+    fn acquire(&self, cpi: u64, mut keep_waiting: impl FnMut() -> bool) -> Option<f64> {
+        let Some(needed) = (cpi + 1).checked_sub(self.window) else {
+            return Some(0.0);
+        };
+        let mut finished = self.finished.lock().expect("credit lock poisoned");
+        let mut blocked_since = None;
+        while finished.iter().copied().min().unwrap_or(u64::MAX) < needed {
+            blocked_since.get_or_insert_with(Instant::now);
+            if !keep_waiting() {
+                return None;
+            }
+            finished =
+                self.freed.wait_timeout(finished, CREDIT_POLL).expect("credit lock poisoned").0;
+        }
+        Some(blocked_since.map_or(0.0, |t| t.elapsed().as_secs_f64()))
+    }
+
+    /// Sink node `slot` finished one more CPI.
+    fn release(&self, slot: usize) {
+        self.finished.lock().expect("credit lock poisoned")[slot] += 1;
+        self.freed.notify_all();
+    }
+}
 
 /// A runnable pipeline: topology + one factory per stage.
 pub struct Pipeline {
@@ -105,8 +161,23 @@ impl Pipeline {
             })
             .collect();
         let abort_handle = endpoints[0].abort_handle();
+        let sources = topology.sources();
+        let sinks = topology.sinks();
+        // Sink ranks get consecutive credit slots in world order.
+        let mut sink_slot = vec![None; n];
+        let mut sink_nodes = 0;
+        for (slot, (_, stage)) in sink_slot.iter_mut().zip(&stage_of) {
+            if sinks.contains(&StageId(*stage)) {
+                *slot = Some(sink_nodes);
+                sink_nodes += 1;
+            }
+        }
+        let credits = CreditWindow::new(topology.credit_window(), sink_nodes);
+        // Virtual-clock reports must be bit-reproducible, so the wall-time
+        // credit wait is only measured on the wall clock.
+        let measure_wait = matches!(clocks, ClockSpec::Wall);
 
-        type NodeTiming = (Vec<crate::timing::CpiRecord>, Vec<crate::timing::Span>);
+        type NodeTiming = (Vec<crate::timing::CpiRecord>, Vec<crate::timing::Span>, f64);
         let results: Vec<Result<NodeTiming, PipelineError>> = std::thread::scope(|scope| {
             let monitor_handle = watchdog.map(|spec| {
                 let beats = &beats;
@@ -121,16 +192,35 @@ impl Pipeline {
                 .into_iter()
                 .map(|mut ep| {
                     let beats = &beats;
+                    let credits = &credits;
+                    let sources = &sources;
+                    let sink_slot = &sink_slot;
                     scope.spawn(move || {
                         let rank = ep.rank();
                         let (stage, local) =
                             topology.locate(rank).expect("every rank belongs to a stage");
+                        let is_source = sources.contains(&stage);
+                        let slot = sink_slot[rank];
                         let mut behavior = factories[stage.0](local);
                         let mut clock =
                             StageTracer::new(stage.0, local, clocks.clock(epoch), cpis as usize);
                         let mut outcome = Ok(());
+                        let mut credit_wait = 0.0;
                         for cpi in 0..cpis {
                             beats.beat(rank);
+                            if is_source {
+                                let granted = credits.acquire(cpi, || {
+                                    beats.beat(rank);
+                                    !ep.aborted()
+                                });
+                                let Some(waited) = granted else {
+                                    outcome = Err(stap_comm::CommError::Aborted.into());
+                                    break;
+                                };
+                                if measure_wait {
+                                    credit_wait += waited;
+                                }
+                            }
                             clock.start_cpi(cpi);
                             let mut ctx = StageCtx {
                                 ep: &mut ep,
@@ -144,6 +234,9 @@ impl Pipeline {
                             clock.end_cpi();
                             if outcome.is_err() {
                                 break;
+                            }
+                            if let Some(slot) = slot {
+                                credits.release(slot);
                             }
                         }
                         // The watchdog stops tracking this rank whether
@@ -171,7 +264,8 @@ impl Pipeline {
                         };
                         outcome?;
                         barrier_outcome?;
-                        Ok(clock.finish())
+                        let (records, spans) = clock.finish();
+                        Ok((records, spans, credit_wait))
                     })
                 })
                 .collect();
@@ -207,15 +301,19 @@ impl Pipeline {
         }
         let mut per_node = Vec::with_capacity(results.len());
         let mut spans = Vec::new();
+        let mut waits = Vec::with_capacity(results.len());
         for r in results {
-            let (records, node_spans) = r.expect("errors handled above");
+            let (records, node_spans, wait) = r.expect("errors handled above");
             per_node.push(records);
             spans.extend(node_spans);
+            waits.push(wait);
         }
         // Ranks are collected in world order, which is (stage, node) order,
         // so the concatenated span list is already deterministic for a
         // deterministic per-node sequence.
-        Ok(PipelineReport::new(topology, per_node, spans, cpis, warmup))
+        let mut report = PipelineReport::new(topology, per_node, spans, cpis, warmup);
+        report.set_credit_waits(waits);
+        Ok(report)
     }
 }
 
@@ -447,6 +545,100 @@ mod tests {
         let reg = report.registry();
         assert!(reg.stats(2, Phase::Send).is_none());
         assert!(reg.stats(1, Phase::Recv).is_some());
+    }
+
+    /// Source → sink where the sink sleeps `sink_ms` per CPI and fails at
+    /// CPI `fail_at` (if any). The source sends `Some(cpi)` except on CPIs
+    /// divisible by 3, where it ships a `None` gap bubble, as the STAP
+    /// stages do under `SkipCpi`.
+    fn slow_sink_pipeline(sink_nodes: usize, sink_ms: u64, fail_at: Option<u64>) -> Pipeline {
+        use std::time::Duration;
+        let mut t = Topology::new();
+        let src = t.add_stage("src", 1);
+        let snk = t.add_stage("snk", sink_nodes);
+        t.add_edge(src, snk);
+        let f_src: StageFactory = Box::new(move |_| {
+            Box::new(move |ctx: &mut StageCtx<'_>| {
+                ctx.phase(Phase::Send);
+                let msg = (!ctx.cpi.is_multiple_of(3)).then_some(ctx.cpi);
+                for dst in 0..sink_nodes {
+                    ctx.send_to(StageId(1), dst, 0, msg)?;
+                }
+                Ok(())
+            })
+        });
+        let f_snk: StageFactory = Box::new(move |_| {
+            Box::new(move |ctx: &mut StageCtx<'_>| {
+                ctx.phase(Phase::Recv);
+                let got: Option<u64> = ctx.recv_from(StageId(0), 0, 0)?;
+                assert_eq!(got, (!ctx.cpi.is_multiple_of(3)).then_some(ctx.cpi));
+                ctx.phase(Phase::Compute);
+                std::thread::sleep(Duration::from_millis(sink_ms));
+                if Some(ctx.cpi) == fail_at {
+                    return Err(ctx.fail("sink gave up"));
+                }
+                Ok(())
+            })
+        });
+        Pipeline::new(t, vec![f_src, f_snk])
+    }
+
+    #[test]
+    fn credit_window_holds_the_source_behind_a_slow_sink() {
+        let cpis = 12;
+        let report = slow_sink_pipeline(2, 4, None).run(cpis, 0).unwrap();
+        let w = report.credit_window;
+        assert_eq!(w, 2, "window is the stage count");
+        let src = &report.records[0][0];
+        for k in w..cpis {
+            let start = src.iter().find(|r| r.cpi == k).unwrap().start;
+            for node in &report.records[1] {
+                let done = node.iter().find(|r| r.cpi == k - w).unwrap().end;
+                assert!(
+                    start >= done,
+                    "source started CPI {k} at {start} before a sink finished CPI {} at {done}",
+                    k - w
+                );
+            }
+        }
+        // The source outran the sink, so it waited, outside its records.
+        assert!(report.credit_wait_secs[0][0] > 0.0);
+        assert!(report.credit_wait_secs[1].iter().all(|&w| w == 0.0));
+        assert!(report.credit_wait_text().contains("src"));
+    }
+
+    #[test]
+    fn credit_wait_aborts_when_a_sink_fails() {
+        // The sink dies on CPI 5 while the source blocks on credit for CPI
+        // 7; the abort must wake it and surface the sink's error.
+        match slow_sink_pipeline(1, 2, Some(5)).run(40, 0).unwrap_err() {
+            PipelineError::Stage { stage, message } => {
+                assert_eq!(stage, "snk");
+                assert!(message.contains("sink gave up"));
+            }
+            other => panic!("expected the sink's stage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn waiting_for_credit_keeps_the_watchdog_quiet() {
+        use std::time::Duration;
+        // Each sink CPI takes 150 ms, so the source waits about that long
+        // per CPI, well past its own 60 ms deadline; its heartbeats while
+        // waiting keep the watchdog from firing.
+        let spec =
+            WatchdogSpec { deadlines: vec![Duration::from_millis(60), Duration::from_secs(5)] };
+        let report = slow_sink_pipeline(1, 150, None).run_with_watchdog(5, 0, &spec).unwrap();
+        assert!(report.credit_wait_secs[0][0] > 0.1);
+    }
+
+    #[test]
+    fn virtual_clock_reports_no_credit_wait() {
+        let report = slow_sink_pipeline(1, 2, None)
+            .run_configured(8, 0, None, ClockSpec::Virtual { tick: 1e-3 })
+            .unwrap();
+        assert!(report.credit_wait_secs.iter().flatten().all(|&w| w == 0.0));
+        assert_eq!(report.credit_wait_text(), "credit wait    : none (window 2 CPIs)\n");
     }
 
     #[test]

@@ -29,6 +29,14 @@ pub struct PipelineReport {
     /// Iterations discarded from the front when computing steady-state
     /// metrics (pipeline fill + cold caches).
     pub warmup: u64,
+    /// The runner's credit window in CPIs ([`Topology::credit_window`]).
+    pub credit_window: u64,
+    /// `credit_wait_secs[stage][node]`: wall seconds each node spent
+    /// waiting for credit before starting its CPIs, summed over the run.
+    /// Only source-stage nodes wait; the time lies outside every
+    /// [`CpiRecord`]. Always zero under the virtual clock, whose reports
+    /// must not depend on thread timing.
+    pub credit_wait_secs: Vec<Vec<f64>>,
 }
 
 impl PipelineReport {
@@ -47,11 +55,45 @@ impl PipelineReport {
         }
         Self {
             stage_names: topology.stages().iter().map(|s| s.name.clone()).collect(),
+            credit_wait_secs: records.iter().map(|nodes| vec![0.0; nodes.len()]).collect(),
             records,
             spans,
             cpis,
             warmup,
+            credit_window: topology.credit_window(),
         }
+    }
+
+    /// Fills [`Self::credit_wait_secs`] from per-node waits in world
+    /// (stage, node) order.
+    pub(crate) fn set_credit_waits(&mut self, waits: Vec<f64>) {
+        let mut it = waits.into_iter();
+        for nodes in &mut self.credit_wait_secs {
+            for (slot, w) in nodes.iter_mut().zip(&mut it) {
+                *slot = w;
+            }
+        }
+    }
+
+    /// One line per stage whose nodes waited for credit, e.g.
+    /// `credit wait    : Doppler filter 0.0123 0.0119 s (window 7 CPIs)`;
+    /// a single `none` line when no node waited.
+    pub fn credit_wait_text(&self) -> String {
+        let mut out = String::new();
+        for (name, nodes) in self.stage_names.iter().zip(&self.credit_wait_secs) {
+            if nodes.iter().any(|&w| w > 0.0) {
+                let secs: Vec<String> = nodes.iter().map(|w| format!("{w:.4}")).collect();
+                out.push_str(&format!(
+                    "credit wait    : {name} {} s (window {} CPIs)\n",
+                    secs.join(" "),
+                    self.credit_window
+                ));
+            }
+        }
+        if out.is_empty() {
+            out = format!("credit wait    : none (window {} CPIs)\n", self.credit_window);
+        }
+        out
     }
 
     fn steady(&self, cpi: u64) -> bool {

@@ -67,6 +67,13 @@ impl Topology {
         self.stages.len()
     }
 
+    /// The runner's credit window: how many CPIs a source stage may run
+    /// ahead of the slowest sink node. One CPI per stage lets every stage
+    /// work on its own CPI at once, the paper's no-backlog pipeline.
+    pub fn credit_window(&self) -> u64 {
+        self.stages.len() as u64
+    }
+
     /// Stage info by id.
     pub fn stage(&self, id: StageId) -> &StageInfo {
         &self.stages[id.0]

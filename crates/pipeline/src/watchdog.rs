@@ -1,7 +1,8 @@
 //! Stage watchdogs: per-stage progress deadlines enforced by a monitor
 //! thread over the world abort flag.
 //!
-//! Every node heartbeats at each CPI boundary. A monitor thread checks
+//! Every node heartbeats at each CPI boundary, and a source node also
+//! while it waits for credit (see [`crate::runner`]). A monitor thread checks
 //! each live rank's time-since-last-beat against its stage's deadline;
 //! the first expiry records the stage and raises the abort flag, which
 //! unblocks every receive in the world. The runner then surfaces

@@ -166,7 +166,9 @@ struct OpenSpan {
 /// transition takes a *single* clock observation that both closes the
 /// previous phase and opens the next, so consecutive phases within a CPI
 /// tile the interval exactly (the old two-timestamp close/open left
-/// unmeasured gaps between phases).
+/// unmeasured gaps between phases). The first phase of a CPI opens at the
+/// CPI's own start, so work a stage does before its first phase entry is
+/// charged to that phase rather than left unattributed.
 pub struct StageTracer {
     stage: usize,
     node: usize,
@@ -175,6 +177,8 @@ pub struct StageTracer {
     spans: Vec<Span>,
     current: Option<CpiRecord>,
     open: Option<OpenSpan>,
+    /// Start of the current CPI while no phase has opened in it yet.
+    lead_in: Option<f64>,
 }
 
 impl StageTracer {
@@ -190,6 +194,7 @@ impl StageTracer {
             spans: Vec::with_capacity(cpis * Phase::COUNT),
             current: None,
             open: None,
+            lead_in: None,
         }
     }
 
@@ -217,6 +222,7 @@ impl StageTracer {
         let now = self.clock.now();
         self.current =
             Some(CpiRecord { cpi, start: now, end: now, phase_secs: [0.0; Phase::COUNT] });
+        self.lead_in = Some(now);
     }
 
     /// Enters `phase` (attempt 0), closing whatever phase was running at
@@ -227,11 +233,13 @@ impl StageTracer {
     }
 
     /// Enters `phase` for retry attempt `attempt` (used by the fault-plan
-    /// read path so each attempt gets its own span).
+    /// read path so each attempt gets its own span). The first phase of a
+    /// CPI opens at the CPI's start.
     pub fn begin_attempt(&mut self, phase: Phase, attempt: u32) {
         let now = self.clock.now();
         self.close_open_at(now);
-        self.open = Some(OpenSpan { phase, attempt, start: now });
+        let start = self.lead_in.take().unwrap_or(now);
+        self.open = Some(OpenSpan { phase, attempt, start });
     }
 
     /// Closes the running phase (if any) without opening a new one —
@@ -239,12 +247,14 @@ impl StageTracer {
     pub fn pause(&mut self) {
         let now = self.clock.now();
         self.close_open_at(now);
+        self.lead_in = None;
     }
 
     /// Closes the record for the current CPI.
     pub fn end_cpi(&mut self) {
         let now = self.clock.now();
         self.close_open_at(now);
+        self.lead_in = None;
         if let Some(mut rec) = self.current.take() {
             rec.end = now;
             self.records.push(rec);
@@ -299,7 +309,7 @@ mod tests {
     fn phases_tile_the_cpi_exactly_under_virtual_clock() {
         let mut t = virtual_tracer(0.5);
         t.start_cpi(0); // obs 0 -> start = 0.0
-        t.begin(Phase::Read); // obs 1 -> 0.5
+        t.begin(Phase::Read); // obs 1 -> 0.5, but the first phase opens at 0.0
         t.begin(Phase::Compute); // obs 2 -> 1.0 closes read at 1.0
         t.begin(Phase::Send); // obs 3 -> 1.5
         t.end_cpi(); // obs 4 -> 2.0
@@ -307,12 +317,13 @@ mod tests {
         assert_eq!(recs.len(), 1);
         let r = &recs[0];
         assert_eq!(r.total(), 2.0);
-        assert_eq!(r.phase(Phase::Read), 0.5);
+        // The lead-in before the first phase entry is charged to it.
+        assert_eq!(r.phase(Phase::Read), 1.0);
         assert_eq!(r.phase(Phase::Compute), 0.5);
         assert_eq!(r.phase(Phase::Send), 0.5);
-        // Only the start_cpi -> first begin gap is unaccounted.
-        assert_eq!(r.unaccounted(), 0.5);
+        assert_eq!(r.unaccounted(), 0.0);
         assert_eq!(spans.len(), 3);
+        assert_eq!(spans[0].start, r.start);
         // Spans butt-join: each end is the next start.
         assert_eq!(spans[0].end, spans[1].start);
         assert_eq!(spans[1].end, spans[2].start);
@@ -337,7 +348,9 @@ mod tests {
         let (recs, spans) = t.finish();
         assert_eq!(spans.iter().filter(|s| s.phase == Phase::Read).count(), 2);
         assert_eq!(spans[2].attempt, 1);
-        assert_eq!(recs[0].phase(Phase::Read), 2.0);
+        // Attempt 0 opens at the CPI start (0.0) and runs to 2.0; attempt 1
+        // runs 3.0 -> 4.0.
+        assert_eq!(recs[0].phase(Phase::Read), 3.0);
         assert_eq!(recs[0].phase(Phase::Backoff), 1.0);
     }
 
@@ -345,14 +358,14 @@ mod tests {
     fn pause_leaves_untimed_section() {
         let mut t = virtual_tracer(1.0);
         t.start_cpi(0);
-        t.begin(Phase::Compute); // 1 -> opens at 1.0
+        t.begin(Phase::Compute); // 1 -> opens at the CPI start, 0.0
         t.pause(); // 2 -> closes at 2.0
-        t.begin(Phase::Send); // 3
+        t.begin(Phase::Send); // 3 -> opens at 3.0
         t.end_cpi(); // 4
         let (recs, _) = t.finish();
-        assert_eq!(recs[0].phase(Phase::Compute), 1.0);
+        assert_eq!(recs[0].phase(Phase::Compute), 2.0);
         assert_eq!(recs[0].phase(Phase::Send), 1.0);
-        assert_eq!(recs[0].unaccounted(), 2.0); // lead-in + paused section
+        assert_eq!(recs[0].unaccounted(), 1.0); // the paused section
     }
 
     #[test]

@@ -124,6 +124,7 @@ fn run(a: RunArgs) {
         }
         println!("{:>10.4}", out.timing.task_time(id));
     }
+    print!("{}", out.timing.credit_wait_text());
     if let Some(ing) = &out.ingest {
         println!(
             "\ningest ({})  : {} accepted, {} delivered, {} dropped, {} rejected, peak depth {}",

@@ -9,6 +9,10 @@
 //! element sees the exact FP operation sequence of the reference loop.
 //! These tests are the contract that keeps that true.
 //!
+//! The FFT section forces each [`SimdLevel`] the CPU supports (AVX, SSE3,
+//! portable) on the multi-lane transforms and compares every lane with the
+//! scalar single-sequence transform, special values included.
+//!
 //! On top of the kernel-level differentials, the scenario section pins
 //! detection-set bit-parity end to end: the full pipeline's detection
 //! reports are byte-identical across kernel paths on the catalog's
@@ -21,8 +25,8 @@ use ppstap::kernels::cube::{partition_even, CubeDims, DataCube, DopplerCube};
 use ppstap::kernels::doppler::{DopplerConfig, DopplerFilter};
 use ppstap::kernels::pulse::{lfm_chirp, PulseCompressor};
 use ppstap::kernels::weights::WeightSet;
-use ppstap::kernels::KernelPath;
-use ppstap::math::C32;
+use ppstap::kernels::{KernelPath, SimdLevel};
+use ppstap::math::{FftPlan, C32};
 use ppstap::scenario::find;
 use proptest::prelude::*;
 
@@ -62,6 +66,86 @@ fn random_cube(dims: CubeDims, d: &mut Draws) -> DataCube {
     cube
 }
 
+/// Inputs the FFT differential mixes in besides ordinary draws.
+const SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+
+/// Bit equality, except that any NaN matches any NaN: Rust leaves the
+/// payload and sign of a NaN result unspecified, scalar code included.
+fn same_bits(x: C32, y: C32) -> bool {
+    let eq = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    eq(x.re, y.re) && eq(x.im, y.im)
+}
+
+/// Runs the forward and inverse multi-lane FFT at `level` on a lane-minor
+/// panel and checks every lane against the scalar per-sequence transform.
+fn check_fft_level(plan: &FftPlan<f32>, panel: &[C32], lanes: usize, level: SimdLevel) {
+    let n = plan.len();
+    let lane = |p: &[C32], l: usize| (0..n).map(|k| p[k * lanes + l]).collect::<Vec<_>>();
+    let mut fwd = panel.to_vec();
+    plan.forward_multi_level(&mut fwd, lanes, level);
+    let mut inv = fwd.clone();
+    plan.inverse_multi_level(&mut inv, lanes, level);
+    for l in 0..lanes {
+        let mut want = lane(panel, l);
+        plan.forward(&mut want);
+        for (k, (&got, &w)) in lane(&fwd, l).iter().zip(&want).enumerate() {
+            assert!(
+                same_bits(got, w),
+                "{} forward lane {l} bin {k}: {got:?} vs {w:?}",
+                level.label()
+            );
+        }
+        plan.inverse(&mut want);
+        for (k, (&got, &w)) in lane(&inv, l).iter().zip(&want).enumerate() {
+            assert!(
+                same_bits(got, w),
+                "{} inverse lane {l} bin {k}: {got:?} vs {w:?}",
+                level.label()
+            );
+        }
+    }
+}
+
+/// The levels this CPU can run, each forced explicitly.
+fn supported_levels() -> Vec<SimdLevel> {
+    SimdLevel::ALL
+        .into_iter()
+        .filter(|l| {
+            let ok = l.is_supported();
+            if !ok {
+                eprintln!("skipping SIMD level {}: not supported by this CPU", l.label());
+            }
+            ok
+        })
+        .collect()
+}
+
+#[test]
+fn fft_levels_handle_special_values_and_odd_lane_counts() {
+    for log2n in [0u32, 1, 3, 6] {
+        let plan = FftPlan::<f32>::new(1 << log2n);
+        for lanes in [1usize, 3, 5, 6, 7, 9, 13] {
+            let mut d = Draws::new(u64::from(log2n) * 31 + lanes as u64);
+            // Every lane but the first carries one special value in one
+            // component at a lane-dependent position.
+            let panel: Vec<C32> = (0..plan.len() * lanes)
+                .map(|i| {
+                    let (k, l) = (i / lanes, i % lanes);
+                    let z = d.c32();
+                    match (l, k == l % plan.len()) {
+                        (0, _) | (_, false) => z,
+                        (_, true) if l % 2 == 0 => C32::new(SPECIALS[l % SPECIALS.len()], z.im),
+                        _ => C32::new(z.re, SPECIALS[l % SPECIALS.len()]),
+                    }
+                })
+                .collect();
+            for level in supported_levels() {
+                check_fft_level(&plan, &panel, lanes, level);
+            }
+        }
+    }
+}
+
 fn assert_doppler_bits_equal(a: &DopplerCube, b: &DopplerCube, what: &str) {
     assert_eq!(a.as_slice().len(), b.as_slice().len(), "{what}: shape mismatch");
     for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
@@ -95,12 +179,12 @@ proptest! {
         let filter = DopplerFilter::new(pulses, cfg);
 
         type FullFn = fn(&DopplerFilter, &DataCube, KernelPath) -> DopplerCube;
-        type ChunkFn = fn(&DopplerFilter, &DataCube, usize, usize) -> DopplerCube;
+        type ChunkFn = fn(&DopplerFilter, &DataCube, usize, usize, KernelPath) -> DopplerCube;
         let variants: [(FullFn, ChunkFn); 2] = [
-            (|f, c, p| f.filter_easy_with(c, p), |f, c, r0, r1| f.filter_easy_chunk(c, r0, r1)),
+            (|f, c, p| f.filter_easy_with(c, p), |f, c, r0, r1, p| f.filter_easy_chunk(c, r0, r1, p)),
             (
                 |f, c, p| f.filter_staggered_with(c, p),
-                |f, c, r0, r1| f.filter_staggered_chunk(c, r0, r1),
+                |f, c, r0, r1, p| f.filter_staggered_chunk(c, r0, r1, p),
             ),
         ];
         for (full, chunk) in variants {
@@ -118,10 +202,40 @@ proptest! {
                 reference.channels(),
                 reference.ranges(),
             );
-            for (r0, r1) in partition_even(ranges, parts.min(ranges)) {
-                stitched.copy_range_from(&chunk(&filter, &cube, r0, r1), r0);
+            for path in [KernelPath::Blocked, KernelPath::Simd] {
+                for (r0, r1) in partition_even(ranges, parts.min(ranges)) {
+                    stitched.copy_range_from(&chunk(&filter, &cube, r0, r1, path), r0);
+                }
+                assert_doppler_bits_equal(&reference, &stitched, &format!("{path} chunk stitch"));
             }
-            assert_doppler_bits_equal(&reference, &stitched, "chunk stitch");
+        }
+    }
+
+    /// FFT: the multi-lane forward and inverse transforms at every
+    /// supported SIMD level are bit-identical per lane to the scalar
+    /// transform, over random lengths, lane counts and sprinkled special
+    /// values (±0, ±inf, NaN).
+    #[test]
+    fn fft_levels_are_bit_identical(
+        seed in 0u64..u64::MAX,
+        log2n in 0u32..9,
+        lanes in 1usize..12,
+        special_every in 2usize..40,
+    ) {
+        let mut d = Draws::new(seed);
+        let plan = FftPlan::<f32>::new(1 << log2n);
+        let panel: Vec<C32> = (0..plan.len() * lanes)
+            .map(|i| {
+                let z = d.c32();
+                if i % special_every == 0 {
+                    C32::new(SPECIALS[(i / special_every) % SPECIALS.len()], z.im)
+                } else {
+                    z
+                }
+            })
+            .collect();
+        for level in supported_levels() {
+            check_fft_level(&plan, &panel, lanes, level);
         }
     }
 

@@ -9,9 +9,9 @@
 //!    recorded in `CpiRecord::phase_secs` equal the span durations they
 //!    were accumulated from.
 //! 2. Wall-clock reconciliation within a documented epsilon: phases are
-//!    timed with the same single-timestamp transition, so the only
-//!    unattributed time inside a CPI is the sliver between `start_cpi` and
-//!    the first phase entry plus scheduler noise.
+//!    timed with the same single-timestamp transition and a CPI's first
+//!    phase opens at the CPI's start, so only an explicitly paused section
+//!    can leave time inside a CPI unattributed.
 //! 3. Differential phase prediction: a DES calibrated from the traced
 //!    run's own compute/send rates must predict the Doppler task's
 //!    read/compute/send split within the PR 2 tolerance band, and the CLI's
@@ -41,11 +41,11 @@ const PHASE_TOL_PCT: f64 = 25.0;
 
 /// Wall-clock reconciliation epsilon, per CPI record: the residue
 /// `total − Σ phases` may not exceed `EPS_FRAC` of the record's span plus
-/// `EPS_ABS` of fixed scheduler/bookkeeping noise (a descheduled thread
-/// between `start_cpi` and the first phase entry charges the gap to no
-/// phase — a rare, bounded event on a loaded CI box). The tracer hands the
-/// closing timestamp of one phase to the opening of the next, so residue
-/// cannot accrue *between* phases; exactness is pinned separately under
+/// `EPS_ABS` of fixed scheduler/bookkeeping noise. The tracer opens a CPI's
+/// first phase at the CPI's start (so a thread descheduled before its first
+/// phase entry is still charged to that phase) and hands the closing
+/// timestamp of one phase to the opening of the next, so residue cannot
+/// accrue before or *between* phases; exactness is pinned separately under
 /// the virtual clock.
 const EPS_FRAC: f64 = 0.05;
 const EPS_ABS: f64 = 10e-3;
@@ -105,9 +105,9 @@ fn virtual_clock_spans_tile_cpi_records_exactly() {
                         r.phase(p)
                     );
                 }
-                // Virtual time only advances on clock observations, so the
-                // unattributed residue is a handful of ticks (observations
-                // between `start_cpi` and the first phase entry).
+                // The first phase opens at the CPI's start and phases tile
+                // the rest, so at most a few ticks of residue could come
+                // from a paused section.
                 let resid = r.unaccounted();
                 assert!(
                     (-1e-9..=0.032).contains(&resid),
