@@ -75,7 +75,20 @@ fn bench(c: &mut Criterion) {
     // Covariance + weights for one hard bin (DoF 64).
     let hard = noise_doppler(2, 2, 32, 512);
     g.bench_function("covariance_dof64_128snap", |b| {
-        b.iter(|| estimate_covariance(&hard, 1, TrainingConfig::default()))
+        b.iter(|| estimate_covariance(&hard.rows(), 1, TrainingConfig::default()))
+    });
+
+    // Covariance of all 32 hard bins at the end-to-end benchmark geometry
+    // (64 pulses × 16 channels × 256 gates: DoF 32, 64 training snapshots)
+    // — one CPI's hard-weight training, the SIMD rank-K update's workload.
+    let hard_e2e = noise_doppler(2, 32, 16, 256);
+    g.bench_function("covariance_hard_bins_dof32_64snap", |b| {
+        b.iter(|| {
+            let rows = hard_e2e.rows();
+            (0..32)
+                .map(|bin| estimate_covariance(&rows, bin, TrainingConfig::default()))
+                .collect::<Vec<_>>()
+        })
     });
     let wc = WeightComputer::default();
     g.bench_function("weights_one_hard_bin", |b| b.iter(|| wc.compute(&hard, &[1]).unwrap()));

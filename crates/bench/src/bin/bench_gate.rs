@@ -2,7 +2,7 @@
 //! committed baseline and fails when the suite regressed.
 //!
 //! ```text
-//! bench_gate <baseline.json> <current.json> [--threshold 1.15]
+//! bench_gate <baseline.json> <current.json> [--threshold 1.15] [--row-bound R]
 //! ```
 //!
 //! For every benchmark name present in both reports the gate computes the
@@ -11,6 +11,11 @@
 //! 1.15, i.e. a >15% across-the-board regression). The median — not the
 //! max — is the gate: single-benchmark noise on a shared CI runner is
 //! expected, a systematic slowdown of half the suite is not.
+//!
+//! `--row-bound R` adds a per-row gate for suites whose every row is an
+//! end-to-end measurement (the real-pipeline bench): the run also fails
+//! when any single row's ratio exceeds `R`, so a large regression of the
+//! one row that matters cannot hide behind a steady median.
 
 use std::process::ExitCode;
 
@@ -63,20 +68,27 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths = Vec::new();
     let mut threshold = 1.15f64;
+    let mut row_bound: Option<f64> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--threshold" {
-            let Some(v) = it.next().and_then(|v| v.parse().ok()) else {
-                eprintln!("--threshold needs a number");
+        if a == "--threshold" || a == "--row-bound" {
+            let Some(v) = it.next().and_then(|v| v.parse::<f64>().ok()).filter(|v| *v > 0.0) else {
+                eprintln!("{a} needs a positive number");
                 return ExitCode::from(2);
             };
-            threshold = v;
+            if a == "--threshold" {
+                threshold = v;
+            } else {
+                row_bound = Some(v);
+            }
         } else {
             paths.push(a.clone());
         }
     }
     let [baseline_path, current_path] = paths.as_slice() else {
-        eprintln!("usage: bench_gate <baseline.json> <current.json> [--threshold R]");
+        eprintln!(
+            "usage: bench_gate <baseline.json> <current.json> [--threshold R] [--row-bound R]"
+        );
         return ExitCode::from(2);
     };
 
@@ -94,6 +106,7 @@ fn main() -> ExitCode {
     };
 
     let mut ratios = Vec::new();
+    let mut over_bound = Vec::new();
     println!("{:<50}{:>14}{:>14}{:>9}", "benchmark", "baseline", "current", "ratio");
     for cur in &current {
         let Some(base) = baseline.iter().find(|b| b.name == cur.name) else { continue };
@@ -102,6 +115,9 @@ fn main() -> ExitCode {
         }
         let ratio = cur.mean_s / base.mean_s;
         ratios.push(ratio);
+        if row_bound.is_some_and(|bound| ratio > bound) {
+            over_bound.push((cur.name.as_str(), ratio));
+        }
         let flag = if ratio > threshold { " !" } else { "" };
         println!(
             "{:<50}{:>12.3}us{:>12.3}us{:>8.2}x{}",
@@ -121,6 +137,15 @@ fn main() -> ExitCode {
     if med > threshold {
         eprintln!("bench_gate: FAIL — median regression {med:.3}x exceeds {threshold:.2}x");
         return ExitCode::FAILURE;
+    }
+    if let Some(bound) = row_bound {
+        println!("row bound: every row within {bound:.2}x");
+        if !over_bound.is_empty() {
+            for (name, ratio) in &over_bound {
+                eprintln!("bench_gate: FAIL — {name} regressed {ratio:.3}x, over {bound:.2}x");
+            }
+            return ExitCode::FAILURE;
+        }
     }
     println!("bench_gate: OK");
     ExitCode::SUCCESS

@@ -1,11 +1,12 @@
 //! Inter-stage message payloads of the real pipeline.
 //!
 //! Stages exchange typed values through `stap-comm`; these are the payload
-//! types with their (re)assembly logic. The bin-slab type carries
+//! types with their validation logic. The bin-slab type carries
 //! Doppler-filtered data for a set of bins over one node's range interval;
-//! receivers stitch slabs from every sender into a full-range cube for
-//! their bins. The row-batch type carries beamformed (bin, beam) range rows
-//! between the tail tasks.
+//! receivers check that the slabs from every sender tile the range axis for
+//! their bins and then read them in place through one [`DopplerRows`]
+//! view, with no cube assembled. The row-batch type carries beamformed
+//! (bin, beam) range rows between the tail tasks.
 //!
 //! Every payload's sample/byte storage is a [`PoolVec`] so the data plane
 //! can recycle slabs through a [`SlabPool`] arena across CPIs (zero-copy
@@ -14,6 +15,7 @@
 
 use stap_comm::{PoolVec, SlabPool};
 use stap_kernels::cube::DopplerCube;
+use stap_kernels::rows::{DopplerRows, RowSegment};
 use stap_math::C32;
 
 /// A dropped CPI, flowing through the pipeline in place of real data.
@@ -146,7 +148,8 @@ impl BinSlab {
     }
 }
 
-/// Why a set of slabs could not be stitched into a [`DopplerCube`].
+/// Why a set of slabs does not form a full-range view of the requested
+/// bins ([`slab_rows`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AssemblyError {
     /// No slabs were provided at all.
@@ -172,6 +175,28 @@ pub enum AssemblyError {
         /// First absolute gate with no covering slab.
         gate: usize,
     },
+    /// Two slabs cover the same range gate.
+    RangeOverlap {
+        /// First absolute gate covered twice.
+        gate: usize,
+    },
+    /// A slab's range interval is reversed or runs past the range axis.
+    BadExtent {
+        /// The slab's first gate.
+        r0: usize,
+        /// The slab's end gate.
+        r1: usize,
+        /// Gates on the range axis.
+        ranges: usize,
+    },
+    /// A slab's sample count disagrees with its bins, staggers, channels
+    /// and range interval.
+    DataLength {
+        /// Samples the slab's header implies.
+        expected: usize,
+        /// Samples it carries.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for AssemblyError {
@@ -188,31 +213,39 @@ impl std::fmt::Display for AssemblyError {
             AssemblyError::RangeGap { gate } => {
                 write!(f, "slabs do not tile the range axis: gate {gate} uncovered")
             }
+            AssemblyError::RangeOverlap { gate } => {
+                write!(f, "slabs do not tile the range axis: gate {gate} covered twice")
+            }
+            AssemblyError::BadExtent { r0, r1, ranges } => {
+                write!(f, "slab range {r0}..{r1} does not fit the range axis 0..{ranges}")
+            }
+            AssemblyError::DataLength { expected, found } => {
+                write!(f, "slab carries {found} samples, its header implies {expected}")
+            }
         }
     }
 }
 
 impl std::error::Error for AssemblyError {}
 
-/// Assembles a full-range [`DopplerCube`] covering exactly `bins` from
-/// slabs that tile the range axis `[0, ranges)`.
+/// Validates slabs received for `bins` and returns them as one
+/// [`DopplerRows`] view over the range axis `[0, ranges)`, read in place.
 ///
-/// The returned cube's bin axis is *compacted*: cube bin index `i`
-/// corresponds to `bins[i]`.
+/// The view's bin axis is *compacted*: view bin `i` is `bins[i]`. The
+/// slabs may arrive in any order and carry their bins in any order.
 ///
 /// # Errors
 /// Returns an [`AssemblyError`] when the slabs are inconsistent, miss a
-/// requested bin, or do not cover every gate of the range axis.
-pub fn assemble_bins(
+/// requested bin, or do not cover every gate of the range axis exactly
+/// once.
+pub fn slab_rows<'a>(
     bins: &[usize],
     ranges: usize,
-    slabs: &[BinSlab],
-) -> Result<DopplerCube, AssemblyError> {
+    slabs: &'a [BinSlab],
+) -> Result<DopplerRows<'a>, AssemblyError> {
     let first = slabs.first().ok_or(AssemblyError::NoSlabs)?;
-    let staggers = first.staggers;
-    let channels = first.channels;
-    let mut cube = DopplerCube::zeros(staggers, bins.len(), channels, ranges);
-    let mut covered = vec![0usize; ranges];
+    let (staggers, channels) = (first.staggers, first.channels);
+    let mut segments = Vec::with_capacity(slabs.len());
     for slab in slabs {
         if slab.staggers != staggers {
             return Err(AssemblyError::StaggerMismatch {
@@ -226,24 +259,39 @@ pub fn assemble_bins(
                 found: slab.channels,
             });
         }
-        for (i, &b) in bins.iter().enumerate() {
-            let bin_idx =
-                slab.bins.iter().position(|&x| x == b).ok_or(AssemblyError::MissingBin(b))?;
-            for s in 0..staggers {
-                for c in 0..channels {
-                    cube.row_mut(s, i, c)[slab.r0..slab.r1]
-                        .copy_from_slice(slab.row(bin_idx, s, c));
-                }
-            }
+        if slab.r0 > slab.r1 || slab.r1 > ranges {
+            return Err(AssemblyError::BadExtent { r0: slab.r0, r1: slab.r1, ranges });
         }
-        for c in covered.iter_mut().take(slab.r1).skip(slab.r0) {
-            *c += 1;
+        let expected = slab.bins.len() * staggers * channels * (slab.r1 - slab.r0);
+        if slab.data.len() != expected {
+            return Err(AssemblyError::DataLength { expected, found: slab.data.len() });
         }
+        // Slab layout: bin-major, then stagger, then channel.
+        let bin_rows = bins
+            .iter()
+            .map(|&b| {
+                let i =
+                    slab.bins.iter().position(|&x| x == b).ok_or(AssemblyError::MissingBin(b))?;
+                Ok(i * staggers * channels)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        segments.push(RowSegment::new(slab.r0, slab.r1, &slab.data, bin_rows, channels));
     }
-    if let Some(gate) = covered.iter().position(|&c| c == 0) {
-        return Err(AssemblyError::RangeGap { gate });
+    segments.sort_by_key(|seg| seg.r0());
+    let mut next = 0;
+    for seg in segments.iter().filter(|seg| seg.r0() < seg.r1()) {
+        if seg.r0() > next {
+            return Err(AssemblyError::RangeGap { gate: next });
+        }
+        if seg.r0() < next {
+            return Err(AssemblyError::RangeOverlap { gate: seg.r0() });
+        }
+        next = seg.r1();
     }
-    Ok(cube)
+    if next < ranges {
+        return Err(AssemblyError::RangeGap { gate: next });
+    }
+    Ok(DopplerRows::new(staggers, bins.len(), channels, ranges, segments))
 }
 
 /// Raw on-disk bytes for range gates `[r0, r1)` — what the separate read
@@ -351,58 +399,85 @@ mod tests {
     }
 
     #[test]
-    fn slab_round_trips_through_assembly() {
+    fn slab_view_reads_every_sender_in_place() {
         // A node computed bins over local ranges [0,3) at absolute r0=2.
         let cube = tiny_cube(2, 4, 3, 3);
         let slab_a = BinSlab::from_cube(&cube, &[1, 3], 2);
         assert_eq!(slab_a.get(0, 1, 2, 4), cube.get(1, 1, 2, 2));
 
-        // Another node covers absolute [0,2) and [5,6) missing → use two
-        // slabs tiling [0,6).
+        // Two more slabs, out of order and with their bins in a different
+        // order, tile [0,6) with slab_a.
+        let cube_c = tiny_cube(2, 4, 3, 1);
+        let slab_c = BinSlab::from_cube(&cube_c, &[3, 1], 5);
         let cube_b = tiny_cube(2, 4, 3, 2);
         let slab_b = BinSlab::from_cube(&cube_b, &[1, 3], 0);
-        let cube_c = tiny_cube(2, 4, 3, 1);
-        let slab_c = BinSlab::from_cube(&cube_c, &[1, 3], 5);
-        let full = assemble_bins(&[1, 3], 6, &[slab_a, slab_b, slab_c]).expect("tiled");
-        assert_eq!(full.bins(), 2);
-        assert_eq!(full.ranges(), 6);
-        // Absolute gate 3 came from slab_a local r=1 of bin 3 (index 1).
-        assert_eq!(full.get(1, 1, 0, 3), cube.get(1, 3, 0, 1));
-        // Absolute gate 1 came from slab_b.
-        assert_eq!(full.get(0, 0, 2, 1), cube_b.get(0, 1, 2, 1));
+        let slabs = [slab_a, slab_c, slab_b];
+        let rows = slab_rows(&[1, 3], 6, &slabs).expect("tiled");
+        assert_eq!((rows.bins(), rows.ranges(), rows.dof()), (2, 6, 6));
+        let mut snap = Vec::new();
+        // Absolute gate 3 comes from slab_a local r=1 of bin 3 (index 1).
+        rows.snapshot(1, 3, &mut snap);
+        assert_eq!(snap[3], cube.get(1, 3, 0, 1));
+        // Absolute gate 1 comes from slab_b; gate 5 from slab_c.
+        rows.snapshot(0, 1, &mut snap);
+        assert_eq!(snap[2], cube_b.get(0, 1, 2, 1));
+        rows.snapshot(0, 5, &mut snap);
+        assert_eq!(snap[5], cube_c.get(1, 1, 2, 0));
     }
 
     #[test]
     fn assembly_detects_gaps() {
         let cube = tiny_cube(1, 2, 1, 2);
         let slab = BinSlab::from_cube(&cube, &[0], 0);
-        let err = assemble_bins(&[0], 4, &[slab]).unwrap_err();
+        let err = slab_rows(&[0], 4, &[slab]).unwrap_err();
         assert_eq!(err, AssemblyError::RangeGap { gate: 2 });
         assert!(format!("{err}").contains("do not tile"));
+        let inner = BinSlab::from_cube(&cube, &[0], 2);
+        assert_eq!(slab_rows(&[0], 4, &[inner]).unwrap_err(), AssemblyError::RangeGap { gate: 0 });
     }
 
     #[test]
     fn assembly_detects_missing_bin() {
         let cube = tiny_cube(1, 2, 1, 2);
         let slab = BinSlab::from_cube(&cube, &[0], 0);
-        let err = assemble_bins(&[1], 2, &[slab]).unwrap_err();
+        let err = slab_rows(&[1], 2, &[slab]).unwrap_err();
         assert_eq!(err, AssemblyError::MissingBin(1));
         assert!(format!("{err}").contains("missing bin 1"));
     }
 
     #[test]
     fn assembly_rejects_empty_and_mismatched_slabs() {
-        assert_eq!(assemble_bins(&[0], 2, &[]).unwrap_err(), AssemblyError::NoSlabs);
+        assert_eq!(slab_rows(&[0], 2, &[]).unwrap_err(), AssemblyError::NoSlabs);
         let a = BinSlab::from_cube(&tiny_cube(1, 2, 1, 2), &[0], 0);
         let b = BinSlab::from_cube(&tiny_cube(2, 2, 1, 2), &[0], 0);
         assert_eq!(
-            assemble_bins(&[0], 2, &[a.clone(), b]).unwrap_err(),
+            slab_rows(&[0], 2, &[a.clone(), b]).unwrap_err(),
             AssemblyError::StaggerMismatch { expected: 1, found: 2 }
         );
         let c = BinSlab::from_cube(&tiny_cube(1, 2, 3, 2), &[0], 0);
         assert_eq!(
-            assemble_bins(&[0], 2, &[a, c]).unwrap_err(),
+            slab_rows(&[0], 2, &[a, c]).unwrap_err(),
             AssemblyError::ChannelMismatch { expected: 1, found: 3 }
+        );
+    }
+
+    #[test]
+    fn assembly_rejects_overlaps_overruns_and_short_data() {
+        let cube = tiny_cube(1, 2, 1, 2);
+        let a = BinSlab::from_cube(&cube, &[0], 0);
+        let b = BinSlab::from_cube(&cube, &[0], 1);
+        let err = slab_rows(&[0], 3, &[a.clone(), b.clone()]).unwrap_err();
+        assert_eq!(err, AssemblyError::RangeOverlap { gate: 1 });
+        assert!(format!("{err}").contains("covered twice"));
+        assert_eq!(
+            slab_rows(&[0], 2, &[b]).unwrap_err(),
+            AssemblyError::BadExtent { r0: 1, r1: 3, ranges: 2 }
+        );
+        let mut short = a;
+        short.data.truncate(1);
+        assert_eq!(
+            slab_rows(&[0], 2, &[short]).unwrap_err(),
+            AssemblyError::DataLength { expected: 2, found: 1 }
         );
     }
 

@@ -1,7 +1,7 @@
 //! The adaptive middle of the pipeline: weight computation (temporal) and
 //! beamforming, in easy and hard variants.
 
-use crate::messages::{assemble_bins, BinSlab, Gap, Payload, RowBatch};
+use crate::messages::{slab_rows, BinSlab, Gap, Payload, RowBatch};
 use crate::stages::{broadcast_gap, port, StapPlan};
 use stap_kernels::beamform::BeamCube;
 use stap_kernels::covariance::TrainingConfig;
@@ -81,22 +81,23 @@ impl Stage for WeightStage {
                 ),
             }
         } else {
-            // The slab handoff — stitching the received per-node slabs into
-            // one contiguous cube — is communication, not math. It lives in
-            // the Send phase so the zero-copy data plane's savings show up
-            // in the phase report instead of vanishing into Compute.
+            // The slab handoff — checking that the received per-node slabs
+            // tile the range axis, then viewing them in place — is
+            // communication, not math. It lives in the Send phase so the
+            // data plane's cost shows up in the phase report instead of
+            // vanishing into Compute.
             ctx.phase(Phase::Send);
             let ranges = self.plan.config.dims.ranges;
-            let cube = assemble_bins(&my_bins, ranges, &slabs)
+            let rows = slab_rows(&my_bins, ranges, &slabs)
                 .map_err(|e| ctx.fail(format!("doppler assembly: {e}")))?;
             ctx.phase(Phase::Compute);
-            // The assembled cube's bin axis is positional; compute against
+            // The view's bin axis is positional; compute against
             // positional indices, then relabel to absolute bins for
             // shipping.
             let positional: Vec<usize> = (0..my_bins.len()).collect();
             let mut ws = self
                 .computer
-                .compute(&cube, &positional)
+                .compute_rows(&rows, &positional)
                 .map_err(|e| ctx.fail(format!("weight solve: {e}")))?;
             ws.bins = my_bins;
             self.last_good = Some(ws.clone());
@@ -130,30 +131,35 @@ pub struct BeamformStage {
     nodes: usize,
     hard: bool,
     computer: WeightComputer,
-    /// Weights received for the previous CPI, merged across weight nodes.
-    staged_weights: Option<WeightSet>,
 }
 
 impl BeamformStage {
     /// One node of a beamforming task.
     pub fn new(plan: Arc<StapPlan>, local: usize, nodes: usize, hard: bool) -> Self {
         let computer = weight_computer(&plan);
-        Self { plan, local, nodes, hard, computer, staged_weights: None }
+        Self { plan, local, nodes, hard, computer }
     }
+}
 
-    /// Weight set restricted to `bins` (positional order), relabeled to the
-    /// positional indices so it can drive the compacted cube.
-    ///
-    /// # Errors
-    /// Returns the first bin the received weight set does not cover.
-    fn select_weights(&self, full: &WeightSet, bins: &[usize]) -> Result<WeightSet, usize> {
-        let mut weights = Vec::with_capacity(bins.len());
-        for &b in bins {
-            let per_beam = full.for_bin(b).ok_or(b)?.clone();
-            weights.push(per_beam);
-        }
-        Ok(WeightSet { bins: (0..bins.len()).collect(), weights, dof: full.dof })
+/// The weights of `full` for `bins` (positional order), relabeled to the
+/// positional indices so they drive the compacted slab view. Moves the
+/// vectors out of `full` through one bin-indexed lookup table.
+///
+/// # Errors
+/// Returns the first bin the received weight set does not cover.
+fn select_weights(mut full: WeightSet, bins: &[usize]) -> Result<WeightSet, usize> {
+    let span = full.bins.iter().chain(bins).max().map_or(0, |&b| b + 1);
+    let mut slot = vec![usize::MAX; span];
+    for (i, &b) in full.bins.iter().enumerate() {
+        slot[b] = i;
     }
+    let mut weights = Vec::with_capacity(bins.len());
+    for &b in bins {
+        let per_beam = full.weights.get_mut(slot[b]).ok_or(b)?;
+        weights.push(std::mem::take(per_beam));
+        slot[b] = usize::MAX;
+    }
+    Ok(WeightSet { bins: (0..bins.len()).collect(), weights, dof: full.dof })
 }
 
 impl Stage for BeamformStage {
@@ -205,7 +211,6 @@ impl Stage for BeamformStage {
             }
             merged.expect("at least one weight node")
         };
-        self.staged_weights = None;
 
         // Dropped CPI: forward the bubble to every pulse-compression node
         // this stage would have fed, skipping the compute entirely.
@@ -216,16 +221,15 @@ impl Stage for BeamformStage {
             return Ok(());
         }
 
-        // The slab handoff stitch is communication time (see WeightStage).
+        // The slab handoff check is communication time (see WeightStage).
         ctx.phase(Phase::Send);
-        let cube = assemble_bins(&my_bins, ranges, &slabs)
+        let rows = slab_rows(&my_bins, ranges, &slabs)
             .map_err(|e| ctx.fail(format!("beamform assembly: {e}")))?;
         ctx.phase(Phase::Compute);
-        let ws = self
-            .select_weights(&weights_full, &my_bins)
+        let ws = select_weights(weights_full, &my_bins)
             .map_err(|b| ctx.fail(format!("weight set missing bin {b}")))?;
         let bc: BeamCube =
-            stap_kernels::beamform::Beamformer.apply_with(&cube, &ws, self.plan.kernel_path());
+            stap_kernels::beamform::Beamformer.apply_rows(&rows, &ws, self.plan.kernel_path());
 
         ctx.phase(Phase::Send);
         // Partition rows by owning pulse-compression node. BeamCube rows
@@ -247,5 +251,28 @@ impl Stage for BeamformStage {
             ctx.send_to(pc, n, row_port, self.plan.for_send(Payload::Data(batch)))?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stap_math::C32;
+
+    fn one(v: f32) -> Vec<Vec<C32>> {
+        vec![vec![C32::new(v, 0.0)]]
+    }
+
+    #[test]
+    fn select_weights_moves_bins_into_positional_order() {
+        let full =
+            WeightSet { bins: vec![7, 2, 5], weights: vec![one(7.0), one(2.0), one(5.0)], dof: 1 };
+        let ws = select_weights(full, &[5, 7]).unwrap();
+        assert_eq!(ws.bins, vec![0, 1]);
+        assert_eq!(ws.weights, vec![one(5.0), one(7.0)]);
+        let full = WeightSet { bins: vec![1], weights: vec![one(1.0)], dof: 1 };
+        assert_eq!(select_weights(full.clone(), &[3]).unwrap_err(), 3);
+        // A bin is handed out once: asking twice reports it missing.
+        assert_eq!(select_weights(full, &[1, 1]).unwrap_err(), 1);
     }
 }

@@ -6,7 +6,9 @@
 
 use crate::cube::DopplerCube;
 use crate::path::{KernelPath, SimdLevel};
+use crate::rows::DopplerRows;
 use crate::weights::WeightSet;
+use stap_math::simd::accum_row;
 use stap_math::C32;
 
 /// Range-gate lane count per blocked accumulator row (32 complex = 256 B,
@@ -120,12 +122,29 @@ impl Beamformer {
         weights: &WeightSet,
         path: KernelPath,
     ) -> BeamCube {
-        assert_eq!(weights.dof, cube.dof(), "weight DoF must match cube DoF");
+        self.apply_rows(&cube.rows(), weights, path)
+    }
+
+    /// [`Beamformer::apply_with`] over any [`DopplerRows`] view — the
+    /// beamforming stage reads its received slabs in place. `weights.bins`
+    /// index the view's bin axis.
+    ///
+    /// # Panics
+    /// Panics when the weight DoF does not match the view's DoF.
+    pub fn apply_rows(
+        &self,
+        rows: &DopplerRows<'_>,
+        weights: &WeightSet,
+        path: KernelPath,
+    ) -> BeamCube {
+        assert_eq!(weights.dof, rows.dof(), "weight DoF must match cube DoF");
         let beams = weights.weights.first().map_or(0, |w| w.len());
-        let mut out = BeamCube::zeros(weights.bins.clone(), beams, cube.ranges());
+        let mut out = BeamCube::zeros(weights.bins.clone(), beams, rows.ranges());
         match path.resolve() {
-            KernelPath::Reference => Self::apply_ref(cube, weights, &mut out),
-            _ => self.apply_into(cube, weights, &mut out, 0, cube.ranges(), path),
+            KernelPath::Reference => Self::apply_ref(rows, weights, &mut out),
+            _ => {
+                Self::apply_into_level(rows, weights, &mut out, 0, rows.ranges(), path.simd_level())
+            }
         }
         out
     }
@@ -145,59 +164,64 @@ impl Beamformer {
         r1: usize,
         path: KernelPath,
     ) {
-        self.apply_into_level(cube, weights, out, r0, r1, path.simd_level());
+        Self::apply_into_level(&cube.rows(), weights, out, r0, r1, path.simd_level());
     }
 
     fn apply_into_level(
-        &self,
-        cube: &DopplerCube,
+        rows: &DopplerRows<'_>,
         weights: &WeightSet,
         out: &mut BeamCube,
         r0: usize,
         r1: usize,
         level: SimdLevel,
     ) {
-        assert_eq!(weights.dof, cube.dof(), "weight DoF must match cube DoF");
+        assert_eq!(weights.dof, rows.dof(), "weight DoF must match cube DoF");
         assert_eq!(out.bins, weights.bins, "output bins must match weight bins");
-        assert_eq!(out.ranges, cube.ranges(), "output range extent differs from cube");
-        assert!(r0 <= r1 && r1 <= cube.ranges(), "invalid gate interval {r0}..{r1}");
+        assert_eq!(out.ranges, rows.ranges(), "output range extent differs from cube");
+        assert!(r0 <= r1 && r1 <= rows.ranges(), "invalid gate interval {r0}..{r1}");
         let beams = weights.weights.first().map_or(0, |w| w.len());
         assert_eq!(out.beams, beams, "output beam count differs from weights");
-        let channels = cube.channels();
+        let channels = rows.channels();
         let mut acc = [C32::zero(); RANGE_BLOCK];
+        let mut dof_rows = Vec::with_capacity(rows.dof());
         for (bi, &bin) in weights.bins.iter().enumerate() {
-            let mut b0 = r0;
-            while b0 < r1 {
-                let lanes = RANGE_BLOCK.min(r1 - b0);
-                for beam in 0..beams {
-                    let w = &weights.weights[bi][beam];
-                    let acc = &mut acc[..lanes];
-                    acc.fill(C32::zero());
-                    // DoF index k maps to (stagger, channel) exactly as the
-                    // reference snapshot concatenates them, so the per-gate
-                    // accumulation order is identical to the scalar loop;
-                    // lanes are independent gates.
-                    for (k, wk) in w.iter().enumerate() {
-                        let wc = wk.conj();
-                        let row = cube.row(k / channels, bin, k % channels);
-                        accum_row(acc, &row[b0..b0 + lanes], wc, level);
+            // Lane blocks split at segment edges; lanes are independent
+            // gates, so where a block starts never changes a gate's bits.
+            for seg in rows.segments() {
+                let (lo, hi) = (seg.r0().max(r0), seg.r1().min(r1));
+                // DoF index k maps to (stagger, channel) exactly as the
+                // reference snapshot concatenates them, so the per-gate
+                // accumulation order is identical to the scalar loop.
+                dof_rows.clear();
+                dof_rows.extend((0..rows.dof()).map(|k| seg.row(k / channels, bin, k % channels)));
+                let mut b0 = lo;
+                while b0 < hi {
+                    let lanes = RANGE_BLOCK.min(hi - b0);
+                    let off = b0 - seg.r0();
+                    for beam in 0..beams {
+                        let w = &weights.weights[bi][beam];
+                        let acc = &mut acc[..lanes];
+                        acc.fill(C32::zero());
+                        for (wk, row) in w.iter().zip(&dof_rows) {
+                            accum_row(acc, &row[off..off + lanes], wk.conj(), level);
+                        }
+                        let start = out.idx(beam, bi, b0);
+                        out.data[start..start + lanes].copy_from_slice(acc);
                     }
-                    let start = out.idx(beam, bi, b0);
-                    out.data[start..start + lanes].copy_from_slice(acc);
+                    b0 += lanes;
                 }
-                b0 += lanes;
             }
         }
     }
 
     /// Scalar reference: per-(bin, gate) snapshot gather + per-beam dot,
     /// the original naive loop kept as correctness and bench baseline.
-    fn apply_ref(cube: &DopplerCube, weights: &WeightSet, out: &mut BeamCube) {
+    fn apply_ref(rows: &DopplerRows<'_>, weights: &WeightSet, out: &mut BeamCube) {
         let beams = weights.weights.first().map_or(0, |w| w.len());
-        let mut snap = Vec::with_capacity(cube.dof());
+        let mut snap = Vec::with_capacity(rows.dof());
         for (bi, &bin) in weights.bins.iter().enumerate() {
-            for r in 0..cube.ranges() {
-                cube.snapshot(bin, r, &mut snap);
+            for r in 0..rows.ranges() {
+                rows.snapshot(bin, r, &mut snap);
                 for beam in 0..beams {
                     let w = &weights.weights[bi][beam];
                     let mut acc = C32::zero();
@@ -209,89 +233,6 @@ impl Beamformer {
                 }
             }
         }
-    }
-}
-
-/// `acc[l] = acc[l].mul_add(wc, x[l])` across a lane row, dispatching to the
-/// widest available `std::arch` path. Every path performs, per lane, the
-/// exact scalar operation sequence (mul, add, mul, sub / add — no FMA
-/// contraction), so results are bit-identical across levels.
-#[inline]
-fn accum_row(acc: &mut [C32], x: &[C32], wc: C32, level: SimdLevel) {
-    debug_assert_eq!(acc.len(), x.len());
-    match level {
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        SimdLevel::Avx => unsafe { x86::accum_row_avx(acc, x, wc) },
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        SimdLevel::Sse3 => unsafe { x86::accum_row_sse3(acc, x, wc) },
-        _ => accum_row_scalar(acc, x, wc),
-    }
-}
-
-#[inline]
-fn accum_row_scalar(acc: &mut [C32], x: &[C32], wc: C32) {
-    for (a, xv) in acc.iter_mut().zip(x.iter()) {
-        *a = a.mul_add(wc, *xv);
-    }
-}
-
-#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-mod x86 {
-    //! Explicit SSE3/AVX complex accumulation over interleaved `[re, im]`
-    //! f32 pairs (`Complex<f32>` is `repr(C)`).
-    //!
-    //! Per complex lane the computation is
-    //! `re' = (acc.re + wc.re·x.re) - wc.im·x.im` on even float lanes and
-    //! `im' = (acc.im + wc.re·x.im) + wc.im·x.re` on odd float lanes —
-    //! realized as `addsub(acc + splat(wc.re)·x, splat(wc.im)·swap(x))`
-    //! with plain `mul`/`add`/`addsub` (never fused), matching
-    //! `Complex::mul_add(wc, x)`'s evaluation order bit-for-bit.
-    use super::C32;
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must ensure AVX is available and `acc.len() == x.len()`.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn accum_row_avx(acc: &mut [C32], x: &[C32], wc: C32) {
-        let n = acc.len();
-        let ap = acc.as_mut_ptr() as *mut f32;
-        let xp = x.as_ptr() as *const f32;
-        let wr = _mm256_set1_ps(wc.re);
-        let wi = _mm256_set1_ps(wc.im);
-        let quads = n / 4; // 4 complex lanes per 256-bit vector
-        for q in 0..quads {
-            let a = _mm256_loadu_ps(ap.add(q * 8));
-            let xv = _mm256_loadu_ps(xp.add(q * 8));
-            let xs = _mm256_permute_ps(xv, 0b10_11_00_01); // swap re/im pairs
-            let step = _mm256_add_ps(a, _mm256_mul_ps(wr, xv));
-            let r = _mm256_addsub_ps(step, _mm256_mul_ps(wi, xs));
-            _mm256_storeu_ps(ap.add(q * 8), r);
-        }
-        super::accum_row_scalar(&mut acc[quads * 4..], &x[quads * 4..], wc);
-    }
-
-    /// # Safety
-    /// Caller must ensure SSE3 is available and `acc.len() == x.len()`.
-    #[target_feature(enable = "sse3")]
-    pub unsafe fn accum_row_sse3(acc: &mut [C32], x: &[C32], wc: C32) {
-        let n = acc.len();
-        let ap = acc.as_mut_ptr() as *mut f32;
-        let xp = x.as_ptr() as *const f32;
-        let wr = _mm_set1_ps(wc.re);
-        let wi = _mm_set1_ps(wc.im);
-        let pairs = n / 2; // 2 complex lanes per 128-bit vector
-        for q in 0..pairs {
-            let a = _mm_loadu_ps(ap.add(q * 4));
-            let xv = _mm_loadu_ps(xp.add(q * 4));
-            let xs = _mm_shuffle_ps(xv, xv, 0b10_11_00_01);
-            let step = _mm_add_ps(a, _mm_mul_ps(wr, xv));
-            let r = _mm_addsub_ps(step, _mm_mul_ps(wi, xs));
-            _mm_storeu_ps(ap.add(q * 4), r);
-        }
-        super::accum_row_scalar(&mut acc[pairs * 2..], &x[pairs * 2..], wc);
     }
 }
 

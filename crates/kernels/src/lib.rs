@@ -16,8 +16,10 @@
 //!
 //! [`cube`] defines the CPI data-cube container (pulses × channels × range
 //! gates of interleaved complex32 samples — 8 bytes per element, exactly the
-//! unit the paper's I/O subsystem reads from the parallel file system), and
-//! [`report`] the detection report emitted at the end of the pipeline.
+//! unit the paper's I/O subsystem reads from the parallel file system),
+//! [`rows`] the read-only range-row view the adaptive kernels consume (a
+//! cube or received range slabs alike), and [`report`] the detection report
+//! emitted at the end of the pipeline.
 
 pub mod beamform;
 pub mod cfar;
@@ -28,6 +30,7 @@ pub mod doppler;
 pub mod path;
 pub mod pulse;
 pub mod report;
+pub mod rows;
 pub mod tracking;
 pub mod truth;
 pub mod weights;
@@ -40,6 +43,7 @@ pub use doppler::{BinClass, DopplerConfig, DopplerFilter};
 pub use path::{KernelPath, SimdLevel};
 pub use pulse::{lfm_chirp, PulseCompressor};
 pub use report::DetectionReport;
+pub use rows::{DopplerRows, RowSegment};
 pub use tracking::{Track, TrackState, Tracker, TrackerConfig};
 pub use truth::{TruthError, TruthGate, TruthScore};
 pub use weights::{mdl_rank, WeightComputer, WeightMethod, WeightSet};

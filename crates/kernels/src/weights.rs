@@ -8,6 +8,7 @@
 
 use crate::covariance::{estimate_covariance, TrainingConfig};
 use crate::cube::DopplerCube;
+use crate::rows::DopplerRows;
 use stap_math::matrix::dot_h;
 use stap_math::{CMat, CholeskyFactor, Eigh, MathError, C32, C64};
 
@@ -175,22 +176,34 @@ impl WeightComputer {
     /// Computes weights for the given bins of `cube` (which is the Doppler
     /// output of the **previous** CPI — the temporal dependency).
     pub fn compute(&self, cube: &DopplerCube, bins: &[usize]) -> Result<WeightSet, MathError> {
-        let dof = cube.dof();
+        self.compute_rows(&cube.rows(), bins)
+    }
+
+    /// [`WeightComputer::compute`] over any [`DopplerRows`] view — the
+    /// weight stage trains straight from its received slabs. `bins` index
+    /// the view's bin axis, whose length is also the `nbins` the steering
+    /// vectors use.
+    pub fn compute_rows(
+        &self,
+        rows: &DopplerRows<'_>,
+        bins: &[usize],
+    ) -> Result<WeightSet, MathError> {
+        let dof = rows.dof();
         let mut all = Vec::with_capacity(bins.len());
         for &bin in bins {
-            let r = estimate_covariance(cube, bin, self.training);
+            let r = estimate_covariance(rows, bin, self.training);
             let solver = MethodSolver::build(self.method, &r, self.training)?;
             let mut per_beam = Vec::with_capacity(self.beams.len());
             for beam in 0..self.beams.len() {
                 let v = self.beams.space_time_steering(
                     beam,
-                    cube.channels(),
-                    cube.staggers(),
+                    rows.channels(),
+                    rows.staggers(),
                     bin,
-                    cube.bins(),
+                    rows.bins(),
                     self.stagger_offset,
                 );
-                per_beam.push(solver.weight(&v, cube.ranges())?);
+                per_beam.push(solver.weight(&v, rows.ranges())?);
             }
             all.push(per_beam);
         }

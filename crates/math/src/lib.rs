@@ -11,8 +11,9 @@
 //! Contents:
 //! - [`complex`]: a `Complex<T>` type with full arithmetic;
 //! - [`fft`]: radix-2 decimation-in-time FFT with precomputed plans;
-//! - [`simd`]: runtime SSE3/AVX detection and the bit-exact f32 complex
-//!   lane kernels shared by the multi-lane FFT and the STAP kernels;
+//! - [`simd`]: runtime SSE3/AVX detection, the bit-exact f32 complex lane
+//!   kernels shared by the multi-lane FFT and the STAP kernels, and the
+//!   bit-exact f64 Hermitian rank-K update of covariance training;
 //! - [`window`]: taper windows (Hann, Hamming, Blackman, Kaiser, ...);
 //! - [`matrix`]: dense row-major complex matrices;
 //! - [`cholesky`]: Hermitian positive-definite factorization and solves;

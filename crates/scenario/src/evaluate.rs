@@ -361,7 +361,7 @@ fn sinr_losses(scenario: &Scenario, tap: &QualityTap) -> Result<Vec<TargetQualit
                 filter.filter_easy(&cube)
             }
         });
-        let r = estimate_covariance(dcube, bin, training);
+        let r = estimate_covariance(&dcube.rows(), bin, training);
         let v = config.beams.space_time_steering(
             beam,
             dcube.channels(),

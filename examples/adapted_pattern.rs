@@ -59,7 +59,11 @@ fn main() {
     }
 
     // Quantitative summary.
-    let r = estimate_covariance(&filtered, bin, TrainingConfig { range_stride: 1, loading: 0.01 });
+    let r = estimate_covariance(
+        &filtered.rows(),
+        bin,
+        TrainingConfig { range_stride: 1, loading: 0.01 },
+    );
     println!("\nnull depth at the jammer : {:>7.1} dB", null_depth_db(&w, jam_fs));
     println!(
         "SINR improvement factor  : {:>7.1} dB over the conventional beamformer",

@@ -11,7 +11,13 @@
 //!
 //! The FFT section forces each [`SimdLevel`] the CPU supports (AVX, SSE3,
 //! portable) on the multi-lane transforms and compares every lane with the
-//! scalar single-sequence transform, special values included.
+//! scalar single-sequence transform, special values included. The rank-K
+//! section does the same for the f64 covariance update against the scalar
+//! `CMat::rank1_update` loop.
+//!
+//! The slab-view section checks that weights and beams computed straight
+//! from received range slabs, split anywhere, equal those computed from the
+//! assembled cube, bit for bit.
 //!
 //! On top of the kernel-level differentials, the scenario section pins
 //! detection-set bit-parity end to end: the full pipeline's detection
@@ -19,14 +25,16 @@
 //! `two-target` and `noise-only` scenarios.
 
 use ppstap::core::config::StapConfig;
+use ppstap::core::messages::{slab_rows, BinSlab};
 use ppstap::core::StapSystem;
-use ppstap::kernels::beamform::Beamformer;
+use ppstap::kernels::beamform::{BeamCube, Beamformer};
 use ppstap::kernels::cube::{partition_even, CubeDims, DataCube, DopplerCube};
 use ppstap::kernels::doppler::{DopplerConfig, DopplerFilter};
 use ppstap::kernels::pulse::{lfm_chirp, PulseCompressor};
-use ppstap::kernels::weights::WeightSet;
+use ppstap::kernels::weights::{WeightComputer, WeightSet};
 use ppstap::kernels::{KernelPath, SimdLevel};
-use ppstap::math::{FftPlan, C32};
+use ppstap::math::simd::rank_k_update;
+use ppstap::math::{CMat, FftPlan, C32, C64};
 use ppstap::scenario::find;
 use proptest::prelude::*;
 
@@ -146,6 +154,163 @@ fn fft_levels_handle_special_values_and_odd_lane_counts() {
     }
 }
 
+/// Bit equality of f64 samples, any NaN matching any NaN.
+fn same_bits64(x: C64, y: C64) -> bool {
+    let eq = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    eq(x.re, y.re) && eq(x.im, y.im)
+}
+
+/// Runs the rank-K update at every supported level on `start` and checks
+/// each element against `k` successive scalar `CMat::rank1_update` calls.
+fn check_rank_k(start: &[C64], snaps: &[C64], dof: usize) {
+    let mut want = CMat::from_vec(dof, dof, start.to_vec());
+    for x in snaps.chunks_exact(dof) {
+        want.rank1_update(x, 1.0);
+    }
+    for level in supported_levels() {
+        let mut got = start.to_vec();
+        rank_k_update(&mut got, snaps, dof, level);
+        for (i, (&g, &w)) in got.iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                same_bits64(g, w),
+                "{} dof {dof} k {}: element ({}, {}) {g:?} vs {w:?}",
+                level.label(),
+                snaps.len() / dof,
+                i / dof,
+                i % dof
+            );
+        }
+    }
+}
+
+/// Inputs the rank-K differential mixes in besides ordinary draws.
+const SPECIALS64: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+/// A full-precision f64 draw in [-2⁴, 2⁴): a 53-bit mantissa at a random
+/// scale, so products and sums round (f32-sized draws would make every
+/// product, and so every operation order, exact).
+fn draw_f64(d: &mut Draws) -> f64 {
+    d.state = mix(d.state);
+    let unit = (d.state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+    unit * 2f64.powi((d.state & 7) as i32 - 3)
+}
+
+fn draw_c64(d: &mut Draws) -> C64 {
+    C64::new(draw_f64(d), draw_f64(d))
+}
+
+#[test]
+fn rank_k_levels_handle_special_values_and_odd_shapes() {
+    for dof in [1usize, 3, 17, 32] {
+        for k_count in [0usize, 1, 5] {
+            let mut d = Draws::new(dof as u64 * 131 + k_count as u64);
+            let start: Vec<C64> = (0..dof * dof).map(|_| draw_c64(&mut d)).collect();
+            // Each snapshot carries one special value in one component at a
+            // snapshot-dependent position; the first stays ordinary.
+            let snaps: Vec<C64> = (0..k_count * dof)
+                .map(|i| {
+                    let (k, j) = (i / dof, i % dof);
+                    let z = draw_c64(&mut d);
+                    let special = SPECIALS64[k % SPECIALS64.len()];
+                    match (k, j == (3 * k) % dof) {
+                        (0, _) | (_, false) => z,
+                        (_, true) if k % 2 == 0 => C64::new(special, z.im),
+                        _ => C64::new(z.re, special),
+                    }
+                })
+                .collect();
+            check_rank_k(&start, &snaps, dof);
+        }
+    }
+}
+
+/// A Doppler cube of random samples.
+fn random_doppler(
+    staggers: usize,
+    bins: usize,
+    channels: usize,
+    ranges: usize,
+    d: &mut Draws,
+) -> DopplerCube {
+    let mut cube = DopplerCube::zeros(staggers, bins, channels, ranges);
+    for v in cube.as_mut_slice() {
+        *v = d.c32();
+    }
+    cube
+}
+
+/// Gates `[r0, r1)` and bins `bins` of `full`, as a compact cube.
+fn sub_cube(full: &DopplerCube, bins: &[usize], r0: usize, r1: usize) -> DopplerCube {
+    let mut out = DopplerCube::zeros(full.staggers(), bins.len(), full.channels(), r1 - r0);
+    for s in 0..full.staggers() {
+        for (i, &b) in bins.iter().enumerate() {
+            for c in 0..full.channels() {
+                out.row_mut(s, i, c).copy_from_slice(&full.row(s, b, c)[r0..r1]);
+            }
+        }
+    }
+    out
+}
+
+fn assert_beam_bits_equal(a: &BeamCube, b: &BeamCube, what: &str) {
+    assert_eq!(a.bins, b.bins, "{what}: bins differ");
+    for beam in 0..a.beams {
+        for i in 0..a.bins.len() {
+            for (r, (&x, &y)) in a.row(beam, i).iter().zip(b.row(beam, i)).enumerate() {
+                assert!(same_bits(x, y), "{what}: beam {beam} bin {i} gate {r}: {x:?} vs {y:?}");
+            }
+        }
+    }
+}
+
+/// Weights and beams computed from slabs that split the range axis at
+/// `cuts` equal those from the assembled cube of the consumer's bins,
+/// bit for bit. Each Doppler node's slab carries every bin of `full`,
+/// in reverse order on odd nodes, and the slabs arrive last node first.
+fn check_slab_view(full: &DopplerCube, my_bins: &[usize], cuts: &[(usize, usize)]) {
+    let all: Vec<usize> = (0..full.bins()).collect();
+    let slabs: Vec<BinSlab> = cuts
+        .iter()
+        .enumerate()
+        .rev()
+        .map(|(n, &(r0, r1))| {
+            let mut carried = all.clone();
+            if n % 2 == 1 {
+                carried.reverse();
+            }
+            BinSlab::from_cube(&sub_cube(full, &all, r0, r1), &carried, r0)
+        })
+        .collect();
+    let rows = slab_rows(my_bins, full.ranges(), &slabs).expect("slabs tile the range axis");
+    let cube = sub_cube(full, my_bins, 0, full.ranges());
+    let positional: Vec<usize> = (0..my_bins.len()).collect();
+    let wc = WeightComputer::default();
+    let from_cube = wc.compute(&cube, &positional).expect("cube weights");
+    let from_slabs = wc.compute_rows(&rows, &positional).expect("slab weights");
+    assert_eq!(from_cube.bins, from_slabs.bins);
+    for (a, b) in from_cube.weights.iter().flatten().zip(from_slabs.weights.iter().flatten()) {
+        for (&x, &y) in a.iter().zip(b) {
+            assert!(same_bits(x, y), "weights differ: {x:?} vs {y:?} (cuts {cuts:?})");
+        }
+    }
+    for path in [KernelPath::Reference, KernelPath::Blocked, KernelPath::Simd] {
+        let want = Beamformer.apply_with(&cube, &from_cube, path);
+        let got = Beamformer.apply_rows(&rows, &from_slabs, path);
+        assert_beam_bits_equal(&want, &got, &format!("{path} beams, cuts {cuts:?}"));
+    }
+}
+
+/// Three Doppler nodes over 250 gates: the slab edges (84, 167) miss both
+/// the 32-gate beamforming block and the stride-4 training grid.
+#[test]
+fn slab_views_match_the_assembled_cube_at_uneven_node_splits() {
+    let mut d = Draws::new(250);
+    for staggers in [1usize, 2] {
+        let full = random_doppler(staggers, 6, 3, 250, &mut d);
+        check_slab_view(&full, &[1, 4, 5], &partition_even(250, 3));
+    }
+}
+
 fn assert_doppler_bits_equal(a: &DopplerCube, b: &DopplerCube, what: &str) {
     assert_eq!(a.as_slice().len(), b.as_slice().len(), "{what}: shape mismatch");
     for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
@@ -237,6 +402,50 @@ proptest! {
         for level in supported_levels() {
             check_fft_level(&plan, &panel, lanes, level);
         }
+    }
+
+    /// Rank-K covariance update: every supported SIMD level is
+    /// bit-identical to the scalar rank-1 loop over random DoF (odd and
+    /// past the vector blocks), snapshot counts (0 and odd included) and
+    /// sprinkled special values (±0, ±inf, NaN).
+    #[test]
+    fn rank_k_levels_are_bit_identical(
+        seed in 0u64..u64::MAX,
+        dof in 1usize..34,
+        k_count in 0usize..12,
+        special_every in 2usize..60,
+    ) {
+        let mut d = Draws::new(seed);
+        let start: Vec<C64> = (0..dof * dof).map(|_| draw_c64(&mut d)).collect();
+        let snaps: Vec<C64> = (0..k_count * dof)
+            .map(|i| {
+                let z = draw_c64(&mut d);
+                if i % special_every == special_every - 1 {
+                    C64::new(z.re, SPECIALS64[(i / special_every) % SPECIALS64.len()])
+                } else {
+                    z
+                }
+            })
+            .collect();
+        check_rank_k(&start, &snaps, dof);
+    }
+
+    /// Slab views: weights and beams from slabs cut at random gates equal
+    /// those from the assembled cube, bit for bit.
+    #[test]
+    fn slab_views_match_the_assembled_cube(
+        seed in 0u64..u64::MAX,
+        staggers in 1usize..3,
+        channels in 1usize..5,
+        ranges in 1usize..90,
+        cut_a in 0usize..90,
+        cut_b in 0usize..90,
+    ) {
+        let mut d = Draws::new(seed);
+        let full = random_doppler(staggers, 4, channels, ranges, &mut d);
+        let (a, b) = (cut_a.min(ranges), cut_b.min(ranges));
+        let (lo, hi) = (a.min(b), a.max(b));
+        check_slab_view(&full, &[3, 0, 2], &[(0, lo), (lo, hi), (hi, ranges)]);
     }
 
     /// Beamforming: blocked and SIMD weighted sums are bit-identical to
